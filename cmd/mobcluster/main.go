@@ -70,7 +70,7 @@ func main() {
 		k       = flag.Int("k", 1, "servers per shard")
 		shards  = flag.Int("shards", 2, "spatial shards along axis 0")
 		span    = flag.Float64("span", 25, "half-width of the sharded interval and of fresh fleet placement")
-		queue   = flag.Int("queue", server.DefaultQueueLimit, "bounded queue size before refusing batches")
+		queue   = flag.Int("queue", server.DefaultQueueLimit, "bounded queue size: POST /step answers 429 beyond it, a stream waits for a slot")
 		algName = flag.String("alg", "", "worker algorithm: mtc|mtck|lazy (default mtck)")
 		clamp   = flag.Bool("clamp", false, "worker: clamp over-cap moves instead of failing the step")
 		ckptDir = flag.String("ckpt-dir", "", "worker: per-shard checkpoint directory (required; share it between workers that cover for each other)")

@@ -4,8 +4,9 @@
 // overloaded, and /metrics and /state stream live counters. Unless
 // -stream=false, two persistent streaming endpoints ride along: POST
 // /stream upgrades the connection to pipelined NDJSON step frames (one
-// client streams batches without per-request HTTP overhead; backpressure
-// arrives as typed throttle frames), and GET /metrics/stream pushes one
+// client streams batches without per-request HTTP overhead; a full queue
+// stops the server reading the stream, so backpressure is TCP's and
+// frames run in the order sent), and GET /metrics/stream pushes one
 // server-sent metrics event per executed step. With -shards N
 // the space is partitioned into N regions along axis 0 and each region is
 // served by its own fleet of -k servers — requests route to their region's
@@ -75,7 +76,7 @@ func main() {
 		algName = flag.String("alg", "", "algorithm: mtc|mtck|lazy (default mtc, mtck when -k > 1 or -shards > 1)")
 		radius  = flag.Float64("radius", 5, "initial fleet spread radius; when sharded, how far the unbounded outer regions' fleets extend past their boundary (interior fleets spread across their full region)")
 		window  = flag.Duration("window", 2*time.Millisecond, "batch coalescing window (0 = no wait)")
-		queue   = flag.Int("queue", server.DefaultQueueLimit, "bounded queue size before 429")
+		queue   = flag.Int("queue", server.DefaultQueueLimit, "bounded queue size: POST /step answers 429 beyond it, a stream waits for a slot")
 		ckpt    = flag.String("checkpoint", "", "checkpoint file; resumes from it when present")
 		every   = flag.Int("every", 1, "steps between checkpoints")
 		clamp   = flag.Bool("clamp", false, "clamp over-cap moves instead of failing the step")

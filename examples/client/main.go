@@ -15,15 +15,14 @@
 //
 // With -stream the same workload rides the persistent streaming transport
 // instead: one TCP connection is upgraded via POST /stream and every batch
-// becomes a pipelined NDJSON step frame (up to -inflight of them in
-// flight), acked in order by the server; backpressure arrives as typed
-// throttle frames, answered with a jittered backoff and a resend of the
-// same frame. Same tallies, same reconciliation — just no per-request
-// HTTP overhead.
+// becomes a pipelined step frame (up to -inflight of them in flight),
+// acked in order by the server. A stream is never refused for load: when
+// the server's queue is full it stops reading the connection, so the
+// client's writes block until a slot frees. Same tallies, same
+// reconciliation — just no per-request HTTP overhead.
 //
-// Retry backoff (both transports) carries ±20% jitter, so a fleet of
-// clients thrown back by the bounded queue does not re-stampede it in
-// lockstep.
+// HTTP retry backoff carries ±20% jitter, so a fleet of clients thrown
+// back by the bounded queue does not re-stampede it in lockstep.
 //
 // The reconciliation assumes this client is the server's only traffic
 // source since it started: steps fed by other clients (or served before a
@@ -115,7 +114,7 @@ func main() {
 	)
 	start := time.Now()
 	if *stream {
-		accepted, retries, costs, err = driveStream(*addr, gen, *dim, *inflight, *wireOpt)
+		accepted, costs, err = driveStream(*addr, gen, *dim, *inflight, *wireOpt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "client: stream: %v\n", err)
 			os.Exit(1)
@@ -242,21 +241,20 @@ func driveHTTP(addr string, gen load, workers int) (accepted, retries int, costs
 // driveStream is the pipelined transport, built on the shared
 // internal/streamclient package (the same client the cluster coordinator
 // uses): one upgraded connection, every batch a pipelined step frame, up
-// to inflight of them unacknowledged. Throttle frames are resent by the
-// client itself after a jittered backoff; acks are tallied exactly like
-// HTTP responses.
-func driveStream(addr string, gen load, dim, inflight int, wireOpt string) (accepted, retries int, costs map[int]wire.Cost, err error) {
+// to inflight of them unacknowledged. A busy server slows the writes
+// down instead of refusing frames; acks are tallied exactly like HTTP
+// responses.
+func driveStream(addr string, gen load, dim, inflight int, wireOpt string) (accepted int, costs map[int]wire.Cost, err error) {
 	c, err := streamclient.Dial(addr, "/stream", streamclient.Options{Dim: dim, Wire: wireOpt})
 	if err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	defer c.Close()
 	w := c.Welcome()
 	fmt.Printf("stream open: %s at step %d (dim %d, %s frames)\n", w.Algorithm, w.T, w.Dim, c.Wire())
 
 	// Writer: pipeline fresh frames as the in-flight window allows. The
-	// semaphore is released per ack; a throttled frame keeps its slot
-	// until its resend is acked (resends happen inside the client).
+	// semaphore is released per ack.
 	sem := make(chan struct{}, inflight)
 	pends := make(chan *streamclient.Pending, inflight)
 	writeErr := make(chan error, 1)
@@ -279,7 +277,7 @@ func driveStream(addr string, gen load, dim, inflight int, wireOpt string) (acce
 	for p := range pends {
 		ack, err := p.Wait()
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, nil, err
 		}
 		accepted += ack.Accepted
 		costs[ack.T] = ack.Cost
@@ -288,10 +286,10 @@ func driveStream(addr string, gen load, dim, inflight int, wireOpt string) (acce
 	}
 	select {
 	case err := <-writeErr:
-		return 0, 0, nil, err
+		return 0, nil, err
 	default:
 	}
-	return accepted, int(c.Throttles()), costs, nil
+	return accepted, costs, nil
 }
 
 // post sends one batch, retrying on 429 after the server's backoff hint:

@@ -21,8 +21,6 @@ import (
 // forwarding each shard's sub-batch to worker-hosted shard services over
 // loopback TCP ("cluster"). Both sides run the identical serving core, so
 // the delta is purely the extra network hop plus the merge.
-// scripts/bench.sh runs this and emits the cluster_vs_local entry of the
-// BENCH_*.json trajectory.
 func BenchmarkClusterVsLocal(b *testing.B) {
 	const benchBatch = 8
 	cfg := testCfg(2, 2)
@@ -100,8 +98,7 @@ func BenchmarkClusterVsLocal(b *testing.B) {
 // step (Step), "pipelined" keeps a window of 8 in flight and lets the
 // workers group-commit 8 steps per fsync (StepAsync/ResolveOldest at
 // steady state). Same workers, same loopback TCP, same serving core; the
-// delta is the overlap. scripts/bench.sh runs this and emits the
-// cluster_pipelined_vs_lockstep entry of the BENCH_*.json trajectory.
+// delta is the overlap.
 func BenchmarkClusterPipelinedVsLockstep(b *testing.B) {
 	const benchBatch = 8
 	cfg := testCfg(2, 2)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/server"
+	"repro/internal/streamclient"
 	"repro/internal/wire"
 )
 
@@ -41,7 +42,7 @@ func startWindowedWorker(t testing.TB, cfg core.Config, dir string, maxWindow, c
 // depth the service loop's own pacing could not reproduce — while still
 // reading /metrics and /state off the real HTTP surface (the service's
 // observers are notified at every resolve regardless of who calls it).
-func startDirectCluster(t *testing.T, cfg core.Config, copts CoordinatorOptions) (*httptest.Server, *Coordinator) {
+func startDirectCluster(t *testing.T, cfg core.Config, copts CoordinatorOptions, popts protocol.Options) (*httptest.Server, *Coordinator) {
 	t.Helper()
 	var co *Coordinator
 	svc, err := protocol.NewFromBackend(cfg, func(eopts engine.Options) (protocol.Backend, error) {
@@ -51,7 +52,7 @@ func startDirectCluster(t *testing.T, cfg core.Config, copts CoordinatorOptions)
 		}
 		co = c
 		return c, nil
-	}, protocol.Options{})
+	}, popts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +106,13 @@ func TestWindowNegotiation(t *testing.T) {
 
 // TestClusterWindowedMatchesLocal is the pipelined tier's equivalence
 // guarantee on the happy path: waves of W in-flight steps over workers
-// running group commit produce /metrics and /state byte-identical to the
-// in-process sharded server fed the same steps one at a time.
+// running group commit, then one stream client keeping more frames in
+// flight than the coordinator's queue holds, produce in-order acks and
+// /metrics and /state byte-identical to the in-process sharded server fed
+// the same steps one at a time.
 func TestClusterWindowedMatchesLocal(t *testing.T) {
 	const total, perStep, window = 12, 4, 3
+	const streamed, queueLimit = 40, 2
 	cfg := testCfg(2, 2)
 	dir := t.TempDir()
 	w1, _ := startWindowedWorker(t, cfg, dir, window, 2)
@@ -116,7 +120,7 @@ func TestClusterWindowedMatchesLocal(t *testing.T) {
 	copts := fastDial()
 	copts.Workers = []string{w1.Listener.Addr().String(), w2.Listener.Addr().String()}
 	copts.Window = window
-	cl, co := startDirectCluster(t, cfg, copts)
+	cl, co := startDirectCluster(t, cfg, copts, protocol.Options{Window: window, QueueLimit: queueLimit, NoCoalesce: true})
 	if co.Window() != window {
 		t.Fatalf("negotiated window = %d, want %d", co.Window(), window)
 	}
@@ -139,6 +143,33 @@ func TestClusterWindowedMatchesLocal(t *testing.T) {
 				t.Fatalf("ResolveOldest at step %d+%d: %v", step, i, err)
 			}
 		}
+	}
+
+	// The full queue must stall the coordinator's stream reader, not
+	// refuse or reorder frames: frame i still runs as step total+i.
+	c, err := streamclient.Dial(cl.URL, "/stream", streamclient.Options{Dim: cfg.Dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pends := make([]*streamclient.Pending, streamed)
+	for i := range pends {
+		if pends[i], err = c.Step(spreadReqs(total+i, perStep)); err != nil {
+			t.Fatalf("stream step %d: %v", i, err)
+		}
+	}
+	for i := range pends {
+		postStep(t, local.URL, spreadReqs(total+i, perStep))
+	}
+	for i, p := range pends {
+		ack, err := p.Wait()
+		if err != nil {
+			t.Fatalf("stream frame %d: %v", i, err)
+		}
+		if ack.T != total+i {
+			t.Fatalf("stream frame %d acked as step %d, want %d: frames ran out of order", i, ack.T, total+i)
+		}
+		p.Release()
 	}
 
 	cm, lm := getBody(t, cl.URL+"/metrics"), getBody(t, local.URL+"/metrics")
@@ -192,7 +223,7 @@ func TestClusterCrashAtEveryWindowOffset(t *testing.T) {
 				copts := fastDial()
 				copts.Workers = []string{px.addr(), w2.Listener.Addr().String()}
 				copts.Window = window
-				cl, co := startDirectCluster(t, cfg, copts)
+				cl, co := startDirectCluster(t, cfg, copts, protocol.Options{})
 				local := startLocal(t, cfg)
 
 				step := func(i int) []wire.Point {

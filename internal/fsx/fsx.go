@@ -19,30 +19,35 @@ import (
 // WriteFileAtomic writes data to path via a temp file in the same
 // directory, fsync, and an atomic rename, so neither a process kill
 // mid-write nor a system crash shortly after leaves a torn or empty
-// file. dir, when non-nil, is an already-open handle on path's parent
-// directory used to make the rename itself durable without re-opening
-// the directory on every write; a nil dir falls back to a per-write
-// open. The directory fsync is best-effort either way: some
-// platforms/filesystems refuse it, and the rename is already atomic for
-// process-level crashes.
+// file. Every call writes its own uniquely named temp file, so
+// concurrent writers of one path never share an inode: the last rename
+// wins whole, and no rename fails for lack of its source. dir, when
+// non-nil, is an already-open handle on path's parent directory used to
+// make the rename itself durable without re-opening the directory on
+// every write; a nil dir falls back to a per-write open. The directory
+// fsync is best-effort either way: some platforms/filesystems refuse it,
+// and the rename is already atomic for process-level crashes.
 func WriteFileAtomic(path string, data []byte, dir *os.File) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	tmp := f.Name()
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(data)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	if dir != nil {

@@ -1,10 +1,22 @@
 package fsx
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
+
+// assertNoTemp fails if any temp file of path's writes remains.
+func assertNoTemp(t *testing.T, path string) {
+	t.Helper()
+	left, err := filepath.Glob(path + ".tmp*")
+	if err != nil || len(left) != 0 {
+		t.Fatalf("temp files left behind: %v, %v", left, err)
+	}
+}
 
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
@@ -17,9 +29,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil || string(got) != "one" {
 		t.Fatalf("read back %q, %v; want %q", got, err, "one")
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("temp file left behind: %v", err)
-	}
+	assertNoTemp(t, path)
 
 	// Overwrite is atomic: the new content fully replaces the old.
 	if err := WriteFileAtomic(path, []byte("two — longer content"), nil); err != nil {
@@ -53,4 +63,47 @@ func TestWriteFileAtomicMissingDir(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error writing into a missing directory")
 	}
+}
+
+// TestWriteFileAtomicConcurrentWriters: writers racing on one path (a
+// failed-over shard's old and new owner checkpointing the same file)
+// each succeed, the file ends up holding exactly one writer's payload
+// byte for byte, and no temp file is left behind.
+func TestWriteFileAtomicConcurrentWriters(t *testing.T) {
+	const writers, rounds = 8, 25
+	path := filepath.Join(t.TempDir(), "shard-0.ckpt")
+	payloads := make([][]byte, writers)
+	for w := range payloads {
+		payloads[w] = bytes.Repeat([]byte(fmt.Sprintf("writer %d;", w)), 200*(w+1))
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers*rounds)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				errs <- WriteFileAtomic(path, payloads[w], nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent WriteFileAtomic: %v", err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := false
+	for _, p := range payloads {
+		whole = whole || bytes.Equal(got, p)
+	}
+	if !whole {
+		t.Fatalf("final file (%d bytes) is no writer's payload: a torn or mixed write", len(got))
+	}
+	assertNoTemp(t, path)
 }

@@ -26,8 +26,7 @@ func writeCellSummary(outDir string, sum wire.LabCellSummary) error {
 }
 
 // writeReport writes the sweep aggregates: report.json (the full
-// cross-cell view) and bench.json (the compact lab_matrix entry bench.sh
-// splices into BENCH_*.json).
+// cross-cell view) and bench.json (the compact lab_matrix entry).
 func writeReport(outDir string, report *wire.LabReport) error {
 	if err := writeJSON(filepath.Join(outDir, "report.json"), report); err != nil {
 		return err

@@ -329,7 +329,7 @@ func (r *Runner) summary(c Cell, in *core.Instance) wire.LabCellSummary {
 }
 
 // BenchEntry aggregates cell summaries into the compact lab_matrix entry
-// of the BENCH_*.json trajectory: mean cost/step of static vs rebalanced
+// written as the sweep's bench.json: mean cost/step of static vs rebalanced
 // layouts over the axis combinations that ran under both, and the
 // cheapest cell per workload.
 func BenchEntry(name string, sums []wire.LabCellSummary) wire.LabBenchEntry {

@@ -6,7 +6,7 @@
 // in-process protocol.Service for fast cells, a spawned mobserve fed over
 // internal/streamclient for live cells), and a results layer writing
 // results/<stamp>/<cell>/summary.json plus an aggregated cross-cell
-// report whose compact bench entry rides the BENCH_*.json trajectory.
+// report plus its compact bench entry (bench.json).
 //
 // Determinism contract: an in-process cell is a pure function of (matrix
 // spec, seed). Instances are generated from xrand streams keyed by the

@@ -10,8 +10,10 @@
 //     stays single-threaded);
 //   - the coalescing window that merges concurrently submitted batches
 //     into one engine step;
-//   - the bounded queue whose overflow is typed backpressure
-//     (OverloadError) instead of transport-specific status codes;
+//   - the bounded queue: Submit refuses a full queue with typed
+//     backpressure (OverloadError) instead of transport-specific status
+//     codes, and Enqueue waits for a slot, so a pipelining transport
+//     stops reading instead of reordering;
 //   - checkpointing: atomic writes before acknowledgement, with
 //     DurabilityError marking the executed-but-not-durable case;
 //   - the Metrics/MoveStats observers and their snapshot reads;
@@ -20,8 +22,10 @@
 //     can never stall the step loop.
 //
 // Transports translate: HTTP maps OverloadError to 429 + Retry-After and
-// DurabilityError to 507; the streaming transport maps them to typed
-// throttle and error frames. The semantics live here, once.
+// DurabilityError to 507; the streaming transport enqueues through the
+// waiting Enqueue, so a full queue stalls its reader (TCP backpressure),
+// and maps the remaining errors to typed error frames. The semantics live
+// here, once.
 package protocol
 
 import (
@@ -123,8 +127,8 @@ type Options struct {
 	// Zero merges only batches that are already queued, without waiting.
 	CoalesceWindow time.Duration
 	// QueueLimit bounds the number of batches waiting for the step loop;
-	// a full queue refuses Submit with OverloadError. Default
-	// DefaultQueueLimit.
+	// a full queue refuses Submit with OverloadError and makes Enqueue
+	// wait for a slot. Default DefaultQueueLimit.
 	QueueLimit int
 	// CheckpointPath, when non-empty, enables checkpointing: the session
 	// snapshot is written there atomically (tmp file + rename) after every
@@ -282,7 +286,7 @@ type MetricsSnapshot struct {
 	Requests    int
 	Cost        core.Cost
 	AvgStepCost float64
-	// Rejected counts submissions turned away with OverloadError since
+	// Rejected counts Submit calls turned away with OverloadError since
 	// start.
 	Rejected int64
 	// QueueDepth is the number of batches waiting to be coalesced.
@@ -312,8 +316,9 @@ type StateSnapshot struct {
 	Workers []string
 }
 
-// OverloadError is typed backpressure: the bounded queue is full and the
-// batch was NOT enqueued. Resubmit after RetryAfterMS.
+// OverloadError is Submit's typed backpressure: the bounded queue is full
+// and the batch was NOT enqueued. Resubmit after RetryAfterMS. (Enqueue
+// waits for a slot instead.)
 type OverloadError struct {
 	// RetryAfterMS is the suggested backoff: one coalescing window in
 	// milliseconds, at least 1.
@@ -735,8 +740,8 @@ func (s *Service) Closing() bool { return s.closing.Load() }
 // a step (or a blocking observer) is in flight.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// Rejected counts submissions turned away with OverloadError since start.
-// Like QueueDepth it does not take the session lock.
+// Rejected counts Submit calls turned away with OverloadError since
+// start. Like QueueDepth it does not take the session lock.
 func (s *Service) Rejected() int64 { return s.rejected.Load() }
 
 // RetryAfterMS is the backoff hint attached to OverloadError: one
@@ -751,10 +756,33 @@ func (s *Service) RetryAfterMS() int {
 
 // Enqueue submits a pre-validated batch without waiting for its step: it
 // claims a queue slot and returns a Pending to Wait on, so a pipelining
-// transport can keep submitting while earlier steps execute. It never
-// blocks: a full queue returns *OverloadError (and counts toward
-// Rejected), a closing service returns ErrShuttingDown.
+// transport can keep submitting while earlier steps execute. A full queue
+// makes it wait for a slot, so batches enter the queue in the order their
+// Enqueue calls began and a transport that enqueues from its reader
+// stops reading instead of refusing; once Close begins it returns
+// ErrShuttingDown.
 func (s *Service) Enqueue(reqs []geom.Point) (*Pending, error) {
+	return s.enqueue(reqs, true)
+}
+
+// Submit feeds one batch and blocks until its engine step has executed.
+// Unlike Enqueue it does not wait for a queue slot: a full queue refuses
+// the batch with *OverloadError (counted in Rejected), which the HTTP
+// transport answers with 429 + Retry-After.
+func (s *Service) Submit(reqs []geom.Point) (Ack, error) {
+	p, err := s.enqueue(reqs, false)
+	if err != nil {
+		return Ack{}, err
+	}
+	ack, err := p.Wait()
+	p.Release()
+	return ack, err
+}
+
+// enqueue claims a queue slot for reqs. When the queue is full it waits
+// for a slot (or for Close to begin) if wait is set, and otherwise refuses
+// with *OverloadError.
+func (s *Service) enqueue(reqs []geom.Point, wait bool) (*Pending, error) {
 	if s.closing.Load() {
 		return nil, ErrShuttingDown
 	}
@@ -767,27 +795,27 @@ func (s *Service) Enqueue(reqs []geom.Point) (*Pending, error) {
 	p.n = len(reqs)
 	p.svc = s
 	p.consumed = false
+	b := batch{reqs: reqs, reply: p.ch}
+	var err error
 	select {
-	case s.queue <- batch{reqs: reqs, reply: p.ch}:
+	case s.queue <- b:
 		return p, nil
 	default:
+	}
+	if wait {
+		select {
+		case s.queue <- b:
+			return p, nil
+		case <-s.closed:
+			err = ErrShuttingDown
+		}
+	} else {
 		s.rejected.Add(1)
-		p.svc = nil
-		s.pendPool.Put(p)
-		return nil, &OverloadError{RetryAfterMS: s.RetryAfterMS()}
+		err = &OverloadError{RetryAfterMS: s.RetryAfterMS()}
 	}
-}
-
-// Submit feeds one batch and blocks until its engine step has executed:
-// Enqueue + Wait.
-func (s *Service) Submit(reqs []geom.Point) (Ack, error) {
-	p, err := s.Enqueue(reqs)
-	if err != nil {
-		return Ack{}, err
-	}
-	ack, err := p.Wait()
-	p.Release()
-	return ack, err
+	p.svc = nil
+	s.pendPool.Put(p)
+	return nil, err
 }
 
 // Metrics returns the aggregate counters at this instant.

@@ -95,9 +95,11 @@ func (b *blockingObserver) Observe(engine.StepInfo) {
 	<-b.release
 }
 
-// TestEnqueueOverload pins the typed-backpressure contract: with the loop
-// parked and the queue full, Enqueue fails fast with *OverloadError
-// carrying the millisecond backoff hint, and the rejection is counted.
+// TestEnqueueOverload pins the two answers to a full queue: Submit (the
+// per-request path) fails fast with *OverloadError carrying the
+// millisecond backoff hint and counts the rejection, while Enqueue (the
+// pipelined path) waits for a slot — and gives up with ErrShuttingDown
+// once Close begins, without the batch ever reaching the session.
 func TestEnqueueOverload(t *testing.T) {
 	cfg := testConfig(1)
 	obs := &blockingObserver{entered: make(chan struct{}, 8), release: make(chan struct{})}
@@ -116,27 +118,55 @@ func TestEnqueueOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-obs.entered // loop is parked inside the first step
-	if _, err := svc.Enqueue(reqsFor(1, 1)); err != nil {
+	second, err := svc.Enqueue(reqsFor(1, 1))
+	if err != nil {
 		t.Fatalf("second enqueue should claim the queue slot: %v", err)
 	}
 
-	_, err = svc.Enqueue(reqsFor(2, 1))
+	_, err = svc.Submit(reqsFor(2, 1))
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
-		t.Fatalf("overflow = %v, want *OverloadError", err)
+		t.Fatalf("Submit on a full queue = %v, want *OverloadError", err)
 	}
 	if oe.RetryAfterMS != 25 {
 		t.Fatalf("RetryAfterMS = %d, want the 25ms coalescing window", oe.RetryAfterMS)
 	}
+	if got := svc.Rejected(); got != 1 {
+		t.Fatalf("Rejected = %d, want 1", got)
+	}
 
+	waited := make(chan error, 1)
+	go func() {
+		_, err := svc.Enqueue(reqsFor(3, 1))
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		t.Fatalf("Enqueue on a full queue returned %v, want it to wait for a slot", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	// Close begins while the loop is still parked and the queue full: the
+	// waiting Enqueue gives up, the queued batch still drains.
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	if err := <-waited; !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("waiting Enqueue after Close = %v, want ErrShuttingDown", err)
+	}
 	obs.release <- struct{}{}
 	<-obs.entered
 	obs.release <- struct{}{}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
 	if ack, err := first.Wait(); err != nil || ack.T != 0 {
 		t.Fatalf("first = %+v, %v", ack, err)
 	}
-	if got := svc.Metrics().Rejected; got != 1 {
-		t.Fatalf("Rejected = %d, want 1", got)
+	if ack, err := second.Wait(); err != nil || ack.T != 1 {
+		t.Fatalf("second = %+v, %v", ack, err)
+	}
+	if m := svc.Metrics(); m.Steps != 2 || m.Requests != 2 || m.Rejected != 1 {
+		t.Fatalf("metrics = %+v, want the two enqueued batches executed and one rejection", m)
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // (request, engine step, response — the client waits out every round
 // trip) or as one pipelined NDJSON frame on a persistent /stream
 // connection (up to benchInflight frames in flight; the server coalesces
-// them into engine steps and acks in order). scripts/bench.sh runs this
-// and emits the stream_vs_http entry of the BENCH_*.json trajectory.
+// them into engine steps and acks in order).
 func BenchmarkStreamVsHTTP(b *testing.B) {
 	const (
 		benchBatch    = 8
@@ -128,8 +127,7 @@ func BenchmarkStreamVsHTTP(b *testing.B) {
 // line or as a pre-encoded binary frame (up to benchInflight in flight).
 // Both halves measure the full loop — socket, decode, engine step, ack
 // encode, socket — so the delta is the encoding work itself plus the
-// allocation pressure it induces. scripts/bench.sh runs this and derives
-// the stream_binary_vs_ndjson entry of the BENCH_*.json trajectory.
+// allocation pressure it induces.
 func BenchmarkStreamBinaryVsNDJSON(b *testing.B) {
 	const (
 		benchBatch    = 8

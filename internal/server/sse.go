@@ -19,17 +19,20 @@ func (s *Server) handleMetricsStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported: response cannot be flushed")
 		return
 	}
+	// Subscribe before answering 200: a client that steps as soon as the
+	// headers arrive must find its events already being collected. The
+	// subscription lives until the client goes away or the server closes;
+	// the protocol layer's drop policy guarantees a slow reader here can
+	// never stall the step loop — it just loses events, and the tally
+	// rides on the next delivered one (the "dropped" field).
+	events := s.svc.Watch(r.Context())
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	// The subscription lives until the client goes away or the server
-	// closes; the protocol layer's drop policy guarantees a slow reader
-	// here can never stall the step loop — it just loses events, and the
-	// tally rides on the next delivered one (the "dropped" field).
-	for ev := range s.svc.Watch(r.Context()) {
+	for ev := range events {
 		data, err := json.Marshal(wire.MetricsEvent{
 			V:           wire.V1,
 			T:           ev.T,

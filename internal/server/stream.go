@@ -17,11 +17,12 @@
 //     field reject the hello strictly (bad_frame), which a client treats
 //     as "speak NDJSON" by re-dialing a plain hello.
 //  3. Pipeline step frames without waiting (NDJSON objects or binary
-//     frames, per the negotiated encoding). The server answers every
-//     frame IN SUBMISSION ORDER with an ack (the step outcome), a
-//     throttle (typed backpressure: the batch was not enqueued, resend
-//     the same id after retry_after_ms), or an error frame carrying that
-//     id.
+//     frames, per the negotiated encoding). The server enqueues them in
+//     arrival order and answers every frame IN SUBMISSION ORDER with an
+//     ack (the step outcome) or an error frame carrying that id. A full
+//     queue is never answered: the server stops reading the connection
+//     until a slot frees, so the client feels TCP backpressure and every
+//     frame runs in the order it was sent.
 //  4. Send a bye frame (or just close) to end; the server finishes
 //     answering everything already submitted first.
 //
@@ -32,15 +33,15 @@
 //
 // Ingestion is an explicit producer/decoder/consumer pipeline. The reader
 // goroutine produces and decodes frames into pooled request buffers and
-// enqueues them on the service; the ordered reply queue carries each
-// buffer to the writer goroutine, which consumes the step outcome, emits
-// the ack, and recycles the buffers. Ownership contract: a decoded
-// request buffer belongs to the service from Enqueue until the step's
-// outcome is delivered (the engine and its observers must not retain it
-// past the Step call), then returns to the pool; a pooled ack position
-// buffer belongs to the writer until Ack.Release. On the binary encoding
-// the whole steady-state loop — socket to engine.Session.Step to ack
-// bytes — runs at 0 allocs/op.
+// enqueues them on the service (waiting while its queue is full); the
+// ordered reply queue carries each buffer to the writer goroutine, which
+// consumes the step outcome, emits the ack, and recycles the buffers.
+// Ownership contract: a decoded request buffer belongs to the service
+// from Enqueue until the step's outcome is delivered (the engine and its
+// observers must not retain it past the Step call), then returns to the
+// pool; a pooled ack position buffer belongs to the writer until
+// Ack.Release. On the binary encoding the whole steady-state loop —
+// socket to engine.Session.Step to ack bytes — runs at 0 allocs/op.
 
 package server
 
@@ -64,7 +65,7 @@ import (
 // writer so replies leave in exactly the order their frames arrived.
 // Either pend is set (an enqueued step awaiting its outcome, with the
 // pooled request buffer to recycle once it resolves) or frame holds an
-// immediate reply (throttle, pong, or per-message error).
+// immediate reply (pong or per-message error).
 type replyItem struct {
 	pend  *protocol.Pending
 	id    int64
@@ -134,10 +135,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The writer drains replies in submission order; the reader keeps
-	// consuming frames meanwhile, so the client can pipeline. The channel
-	// is bounded: a client that outruns the queue and its throttles
-	// eventually blocks the reader, which is TCP backpressure, not memory
-	// growth.
+	// consuming frames meanwhile, so the client can pipeline. The reader
+	// stops reading while the service queue is full (Enqueue waits) or
+	// while this bounded channel is full (the writer is behind on a slow
+	// client): either way the client feels TCP backpressure, and memory
+	// stays bounded.
 	replies := make(chan replyItem, 2*protocol.DefaultQueueLimit)
 	writerDone := make(chan struct{})
 	go func() {
@@ -266,8 +268,10 @@ func (c *srvStream) handshake() bool {
 // readLoop is the producer/decoder stage: it reads frames in the
 // negotiated encoding, decodes each step into a pooled request buffer,
 // and turns every frame into an ordered reply item — an enqueued pending
-// step, a throttle, a pong, or an error. It returns on bye, on a fatal
-// protocol violation, or when the connection dies.
+// step, a pong, or an error. Enqueue waits while the service queue is
+// full, so a backlog pauses the reader instead of refusing or reordering
+// frames. It returns on bye, on a fatal protocol violation, when the
+// service shuts down, or when the connection dies.
 func (c *srvStream) readLoop(replies chan<- replyItem) {
 	for {
 		buf := stepBufPool.Get().(*stepBuf)
@@ -300,19 +304,10 @@ func (c *srvStream) readLoop(replies chan<- replyItem) {
 		}
 		pend, err := c.srv.svc.Enqueue(buf.geomView())
 		if err != nil {
+			// Enqueue fails only once the service is shutting down.
 			stepBufPool.Put(buf)
-			var oe *protocol.OverloadError
-			if errors.As(err, &oe) {
-				replies <- replyItem{frame: wire.ThrottleFrame{
-					V: wire.V1, Type: wire.FrameThrottle, ID: id, RetryAfterMS: oe.RetryAfterMS,
-				}}
-				continue
-			}
 			replies <- replyItem{frame: streamError(id, err)}
-			if errors.Is(err, protocol.ErrShuttingDown) {
-				return
-			}
-			continue
+			return
 		}
 		replies <- replyItem{pend: pend, id: id, buf: buf}
 	}
@@ -450,7 +445,7 @@ func (c *srvStream) writeAck(id int64, ack protocol.Ack, err error, payload *[]b
 	return wire.WriteBinaryFrame(c.bw, wire.BinAck, p)
 }
 
-// writeControl emits a non-ack reply frame (throttle, pong, error) in the
+// writeControl emits a non-ack reply frame (pong, error) in the
 // negotiated encoding.
 func (c *srvStream) writeControl(frame any, payload *[]byte) error {
 	if !c.binary {
@@ -459,9 +454,6 @@ func (c *srvStream) writeControl(frame any, payload *[]byte) error {
 	p := (*payload)[:0]
 	var tag byte
 	switch f := frame.(type) {
-	case wire.ThrottleFrame:
-		tag = wire.BinThrottle
-		p = wire.AppendThrottle(p, &f)
 	case wire.PongFrame:
 		tag = wire.BinPong
 		p = wire.AppendControl(p, f.V)

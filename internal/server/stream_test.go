@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/shard"
+	"repro/internal/streamclient"
 	"repro/internal/wire"
 )
 
@@ -211,11 +213,91 @@ func TestStreamVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestStreamThrottleRoundTrip pins typed backpressure: with the loop
-// parked and the queue full, a step frame is answered (in order) by a
-// throttle carrying the backoff hint, the batch is NOT executed, and
-// resending the same id after the acks flush succeeds.
-func TestStreamThrottleRoundTrip(t *testing.T) {
+// sleepObserver slows every engine step down by its duration, so a
+// pipelining client outruns the step loop and keeps the queue full.
+type sleepObserver time.Duration
+
+func (d sleepObserver) Observe(engine.StepInfo) { time.Sleep(time.Duration(d)) }
+
+// TestStreamKeepsOrderUnderBackpressure is the stream's ordering
+// invariant under overload, on both encodings: one client pipelines far
+// more frames than the queue holds into a slow, non-coalescing server.
+// The full queue must stall the reader rather than refuse or reorder
+// frames — ack i carries step i — and /metrics and /state must be
+// byte-identical to a server fed the same batches one Submit at a time.
+func TestStreamKeepsOrderUnderBackpressure(t *testing.T) {
+	const frames = 400
+	cfg := testConfig(1)
+	batch := func(i int) []wire.Point { return reqsFor(i, 1+i%3) }
+
+	ref, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for i := 0; i < frames; i++ {
+		reqs, err := wire.ToPoints(batch(i), cfg.Dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Service().Submit(reqs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refTS := httptest.NewServer(ref.Handler())
+	defer refTS.Close()
+
+	for _, enc := range []string{wire.WireNDJSON, wire.WireBinary} {
+		t.Run(enc, func(t *testing.T) {
+			s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{
+				QueueLimit: 2,
+				NoCoalesce: true,
+				Observers:  []engine.Observer{sleepObserver(500 * time.Microsecond)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			c, err := streamclient.Dial(ts.URL, "/stream", streamclient.Options{Dim: cfg.Dim, Wire: enc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			pends := make([]*streamclient.Pending, frames)
+			for i := range pends {
+				if pends[i], err = c.Step(batch(i)); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			for i, p := range pends {
+				ack, err := p.Wait()
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if ack.T != i || ack.Accepted != len(batch(i)) || ack.Batched != len(batch(i)) {
+					t.Fatalf("frame %d acked as step %d (accepted %d, batched %d): frames ran out of order",
+						i, ack.T, ack.Accepted, ack.Batched)
+				}
+				p.Release()
+			}
+			for _, path := range []string{"/metrics", "/state"} {
+				if got, want := rawGet(t, ts.URL+path), rawGet(t, refTS.URL+path); !bytes.Equal(got, want) {
+					t.Fatalf("%s differs from one-Submit-at-a-time serving:\nstream: %s\nsubmit: %s", path, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStreamCloseWhileReaderWaits pins shutdown against a stalled
+// reader: with the step loop parked and the queue full, the stream
+// reader waits on a third frame; Close must still return, the two queued
+// frames are executed and acked, and the waiting frame is answered
+// shutting_down without ever reaching the session.
+func TestStreamCloseWhileReaderWaits(t *testing.T) {
 	cfg := testConfig(1)
 	obs := &blockingObserver{entered: make(chan struct{}, 8), release: make(chan struct{})}
 	s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{
@@ -231,55 +313,46 @@ func TestStreamThrottleRoundTrip(t *testing.T) {
 
 	c := dialStream(t, ts)
 	c.hello(0)
-
 	c.step(1, reqsFor(0, 1))
-	<-obs.entered // loop is parked inside step 1
+	<-obs.entered // loop is parked inside frame 1's step
 	c.step(2, reqsFor(1, 1))
-	// Give the reader a moment to enqueue frame 2 into the last slot,
-	// then overflow with frame 3 — and hold the loop parked until the
-	// rejection has actually been decided, or frame 3 could sneak into
-	// the slot freed by step 1.
-	waitQueueDepth(t, s, 1)
+	waitQueueDepth(t, s, 1) // frame 2 holds the only slot
 	c.step(3, reqsFor(2, 1))
-	waitRejected(t, s, 1)
+	time.Sleep(20 * time.Millisecond) // let the reader reach the full queue
 
-	// Replies stay in submission order: ack 1, ack 2, then the throttle
-	// for 3 (which was decided while 1 was still executing).
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	for !s.Service().Closing() {
+		time.Sleep(time.Millisecond)
+	}
 	go func() {
 		obs.release <- struct{}{}
 		<-obs.entered
 		obs.release <- struct{}{}
 	}()
-	var ack wire.AckFrame
-	c.recv(wire.FrameAck, &ack)
-	if ack.ID != 1 || ack.T != 0 {
-		t.Fatalf("first ack = %+v", ack)
-	}
-	c.recv(wire.FrameAck, &ack)
-	if ack.ID != 2 || ack.T != 1 {
-		t.Fatalf("second ack = %+v", ack)
-	}
-	var th wire.ThrottleFrame
-	c.recv(wire.FrameThrottle, &th)
-	if th.ID != 3 || th.RetryAfterMS < 1 {
-		t.Fatalf("throttle = %+v", th)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung while a stream reader waited on the full queue")
 	}
 
-	// The throttled batch was refused, not executed: resend the same id.
-	go func() {
-		<-obs.entered
-		obs.release <- struct{}{}
-	}()
-	c.step(3, reqsFor(2, 1))
-	c.recv(wire.FrameAck, &ack)
-	if ack.ID != 3 || ack.T != 2 {
-		t.Fatalf("resent ack = %+v", ack)
+	for id := int64(1); id <= 2; id++ {
+		var ack wire.AckFrame
+		c.recv(wire.FrameAck, &ack)
+		if ack.ID != id || ack.T != int(id-1) {
+			t.Fatalf("ack %d = %+v", id, ack)
+		}
 	}
-
-	var m wire.MetricsResponse
-	getJSON(t, ts.URL+"/metrics", &m)
-	if m.Requests != 3 || m.Rejected != 1 {
-		t.Fatalf("metrics = %d requests / %d rejected, want 3 / 1 (throttled batch fed exactly once)", m.Requests, m.Rejected)
+	var e wire.ErrorFrame
+	c.recv(wire.FrameError, &e)
+	if e.ID == nil || *e.ID != 3 || e.Err.Code != wire.CodeShuttingDown {
+		t.Fatalf("waiting frame answered %+v, want shutting_down for id 3", e)
+	}
+	if m := s.Service().Metrics(); m.Steps != 2 || m.Requests != 2 || m.Rejected != 0 {
+		t.Fatalf("metrics = %+v, want only the two acked frames counted", m)
 	}
 }
 
@@ -295,20 +368,6 @@ func waitQueueDepth(t *testing.T, s *Server, want int) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("queue never reached depth %d", want)
-}
-
-// waitRejected polls (lock-free) until want submissions have been turned
-// away, so a test can park the step loop across the rejection it forces.
-func waitRejected(t *testing.T, s *Server, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.Service().Rejected() >= want {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("rejections never reached %d", want)
 }
 
 // TestStreamDisconnectResume pins the reconnect contract: after an abrupt
@@ -412,6 +471,31 @@ func TestStreamRejectsMalformedFrames(t *testing.T) {
 	c2.recv(wire.FrameAck, &ack)
 	if ack.ID != 8 || ack.T != 0 {
 		t.Fatalf("stream did not survive a per-frame rejection: %+v", ack)
+	}
+
+	// A frame type outside the grammar — here the retired throttle frame,
+	// as NDJSON and as the unassigned binary tag 0x05 — is fatal bad_frame.
+	c3 := dialStream(t, ts)
+	c3.hello(0)
+	if _, err := c3.conn.Write([]byte(`{"v":1,"type":"throttle","id":1,"retry_after_ms":5}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	var te wire.ErrorFrame
+	c3.recv(wire.FrameError, &te)
+	if te.Err.Code != wire.CodeBadFrame || te.ID != nil {
+		t.Fatalf("throttle frame answered %+v, want a fatal bad_frame", te)
+	}
+	c4 := dialStream(t, ts)
+	if w := c4.helloWire(0, wire.WireBinary); w.Wire != wire.WireBinary {
+		t.Fatalf("welcome wire = %q", w.Wire)
+	}
+	c4.sendBinary(0x05, []byte{1, 2, 5})
+	var be wire.ErrorFrame
+	if err := wire.DecodeErrorFrame(c4.recvBinary(wire.BinError), &be); err != nil {
+		t.Fatal(err)
+	}
+	if be.Err.Code != wire.CodeBadFrame || be.ID != nil {
+		t.Fatalf("binary tag 0x05 answered %+v, want a fatal bad_frame", be)
 	}
 
 	if m := s.Service().Metrics(); m.Requests != 1 {

@@ -14,7 +14,7 @@ import (
 // shards=8 is eight sessions of 8 servers stepping on separate goroutines.
 // Spatial sharding cuts the nearest-server assignment from
 // O(requests × fleet) to O(requests × fleet / n²) per shard and runs the
-// shards concurrently; this is the scaling curve scripts/bench.sh reports.
+// shards concurrently; ns/op across n is the scaling curve.
 func BenchmarkRouterStep(b *testing.B) {
 	const totalServers, perStep = 64, 2048
 	for _, n := range []int{1, 2, 4, 8} {
@@ -46,10 +46,9 @@ func BenchmarkRouterStep(b *testing.B) {
 // and without the threshold rebalancing policy: 4 shards × 2 servers, a
 // tight 24-request hotspot sweeping across all three boundaries over 400
 // steps. ns/op is the full run; the cost/step metric is the serving cost
-// the layout policy is judged on (scripts/bench.sh derives its
-// rebalance_vs_static summary from it: rebalancing serves the drift
-// cheaper because every region the hotspot enters was reinforced through
-// the boundary it crossed).
+// the layout policy is judged on (rebalancing serves the drift cheaper
+// because every region the hotspot enters was reinforced through the
+// boundary it crossed).
 func BenchmarkRebalanceVsStatic(b *testing.B) {
 	const shards, k, steps, perStep = 4, 2, 400, 24
 	cfg := shardedConfig(shards, k)

@@ -2,9 +2,11 @@
 // transport (POST /stream, package wire's frame grammar): dial with
 // capped-exponential-backoff retries, hello/welcome handshake with
 // version and frame-encoding negotiation, pipelined step frames answered
-// in order, automatic jittered resend on typed throttle frames, and a
-// heartbeat that declares a silent connection dead instead of hanging its
-// callers forever.
+// in order, and a heartbeat that declares a silent connection dead instead
+// of hanging its callers forever. The server never refuses a frame for
+// load: while its queue is full it stops reading the connection, so a
+// client that outruns it blocks in Step (TCP backpressure) and every
+// frame executes in the order it was sent.
 //
 // It exists so the cluster coordinator (internal/cluster) and the example
 // load generator (examples/client) share one tested implementation of the
@@ -22,8 +24,8 @@
 // frame encoding (wire.WireBinary) and falls back to NDJSON transparently
 // when the server is older or pinned; Options.Wire overrides. On the
 // binary encoding the steady-state loop — encode step, read ack — runs at
-// 0 allocs/op: Step retains the caller's batch until the ack (so
-// throttled frames can be resent) and Wait's ack aliases a pooled buffer
+// 0 allocs/op: Step encodes the caller's batch before it returns (so the
+// batch may be reused at once) and Wait's ack aliases a pooled buffer
 // that Release recycles.
 //
 // Dial bounds its reconnect storm: after Options.MaxAttempts failed
@@ -87,13 +89,16 @@ type Options struct {
 	// MaxBackoff caps the per-wait backoff growth. Default DefaultMaxBackoff.
 	MaxBackoff time.Duration
 	// HeartbeatEvery, when positive, starts the liveness probe: a ping
-	// frame rides the pipeline at this cadence, and when no frame at all
-	// (ack, pong, anything) arrives for HeartbeatTimeout the connection is
-	// declared dead (Err returns ErrHeartbeat and every pending Wait
-	// unblocks) instead of hanging callers on a silent socket.
+	// frame rides the pipeline at this cadence, and when a ping has seen
+	// no frame at all (ack, pong, anything) arrive for HeartbeatTimeout
+	// the connection is declared dead (Err returns ErrHeartbeat and every
+	// pending Wait unblocks) instead of hanging callers on a silent
+	// socket. A tick that fires more than one period late gives no
+	// verdict and probes afresh, so a pause of this process is not
+	// mistaken for peer silence.
 	HeartbeatEvery time.Duration
-	// HeartbeatTimeout is the silence that kills the connection; default
-	// 3×HeartbeatEvery.
+	// HeartbeatTimeout is how long a ping may go unanswered before the
+	// connection is declared dead; default 3×HeartbeatEvery.
 	HeartbeatTimeout time.Duration
 	// HandshakeTimeout bounds one connection attempt end to end (TCP dial
 	// through the welcome). A server that accepts the connection but never
@@ -137,7 +142,7 @@ func (o Options) withDefaults() Options {
 }
 
 // ErrHeartbeat reports a connection the heartbeat declared dead: no frame
-// of any kind arrived for Options.HeartbeatTimeout.
+// of any kind arrived for Options.HeartbeatTimeout after a ping was sent.
 var ErrHeartbeat = errors.New("streamclient: heartbeat timeout, connection declared dead")
 
 // ErrClosed reports an operation on a client after Close.
@@ -159,19 +164,14 @@ type Pending struct {
 	ID int64
 
 	c        *Client
-	reqs     []wire.Point // caller's batch, retained for throttle resends
 	ack      wire.AckFrame
 	consumed bool
 }
 
 // Wait blocks for the frame's outcome: the typed ack, a per-frame error
-// frame (as *wire.Error), or the connection's fatal error. Throttle frames
-// never surface here — the client resends the frame itself after the
-// server's jittered backoff hint, and Wait resolves with the eventual ack.
-//
-// The caller's request batch must stay valid until Wait returns (a
-// throttle resend re-encodes it). The returned ack's slices alias this
-// Pending's reusable buffer: they are valid until Release.
+// frame (as *wire.Error), or the connection's fatal error. The returned
+// ack's slices alias this Pending's reusable buffer: they are valid until
+// Release.
 func (p *Pending) Wait() (wire.AckFrame, error) {
 	res := <-p.ch
 	p.consumed = true
@@ -188,7 +188,6 @@ func (p *Pending) Release() {
 	c := p.c
 	p.consumed = false
 	p.c = nil
-	p.reqs = nil
 	p.ID = 0
 	c.pendPool.Put(p)
 }
@@ -199,7 +198,7 @@ func (p *Pending) Release() {
 type Client struct {
 	opts    Options
 	conn    net.Conn
-	wmu     sync.Mutex // serializes frame writes (Step, resends, pings, bye)
+	wmu     sync.Mutex // serializes frame writes (Step, pings, bye)
 	payload []byte     // binary payload scratch, under wmu
 	frame   []byte     // binary tag|len|payload scratch, under wmu
 	welcome wire.WelcomeFrame
@@ -211,9 +210,10 @@ type Client struct {
 	closed   bool
 	pendPool sync.Pool
 
-	throttles      atomic.Int64
-	throttleAborts atomic.Int64
-	lastRecv       atomic.Int64 // UnixNano of the most recent received frame
+	// epoch anchors lastRecv to the monotonic clock: lastRecv holds the
+	// time since epoch at which the most recent frame arrived.
+	epoch    time.Time
+	lastRecv atomic.Int64
 
 	failOnce sync.Once
 	fatal    atomic.Value // error
@@ -349,6 +349,7 @@ func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*
 		opts:    opts,
 		conn:    conn,
 		pending: map[int64]*Pending{},
+		epoch:   time.Now(),
 		done:    make(chan struct{}),
 	}
 	c.pendPool.New = func() any { return &Pending{ch: make(chan stepResult, 1)} }
@@ -370,7 +371,7 @@ func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*
 	// after the welcome speaks the confirmed encoding in both directions.
 	c.binary = c.welcome.Wire == wire.WireBinary
 	_ = conn.SetDeadline(time.Time{})
-	c.lastRecv.Store(time.Now().UnixNano())
+	c.lastRecv.Store(int64(time.Since(c.epoch)))
 	go c.readLoop(br)
 	if opts.HeartbeatEvery > 0 {
 		go c.heartbeat()
@@ -394,16 +395,11 @@ func (c *Client) Wire() string {
 	return wire.WireNDJSON
 }
 
-// Throttles counts the throttle frames the connection has absorbed (each
-// one resent automatically after the server's jittered backoff hint).
-func (c *Client) Throttles() int64 { return c.throttles.Load() }
-
-// ThrottleAborts counts throttle resends abandoned because the connection
-// died during their backoff — the frame was resolved by the teardown (and
-// possibly resent through a failover replacement), so writing it again
-// from the stale goroutine would have re-read a batch its caller no
-// longer guarantees.
-func (c *Client) ThrottleAborts() int64 { return c.throttleAborts.Load() }
+// Throttles returns 0: a server never refuses a frame for load (a full
+// queue stalls the connection instead). It is kept only because the
+// serving benchmark under perfbench/ reads it; drop it when that
+// benchmark next changes.
+func (c *Client) Throttles() int64 { return 0 }
 
 // Err returns the connection's fatal error, or nil while it is healthy.
 func (c *Client) Err() error {
@@ -418,10 +414,11 @@ func (c *Client) Done() <-chan struct{} { return c.done }
 
 // Step writes one pipelined step frame and returns the Pending to Wait on.
 // It does not block for the ack, so callers can keep frames in flight; it
-// fails immediately when the connection is already dead.
+// fails immediately when the connection is already dead. While the
+// server's queue is full the write itself blocks (TCP backpressure).
 //
-// The batch must stay valid and unmodified until Wait returns: a throttled
-// frame is re-encoded from it for the resend.
+// The batch is encoded before Step returns, so it only has to stay valid
+// until then.
 func (c *Client) Step(reqs []wire.Point) (*Pending, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -437,7 +434,6 @@ func (c *Client) Step(reqs []wire.Point) (*Pending, error) {
 	p := c.pendPool.Get().(*Pending)
 	p.ID = id
 	p.c = c
-	p.reqs = reqs
 	c.pending[id] = p
 	c.mu.Unlock()
 
@@ -490,7 +486,7 @@ func (c *Client) writeControl(binTag byte, v any) error {
 }
 
 // writeJSONLocked marshals and writes one NDJSON frame under the write
-// lock (Step, throttle resends, pings, and bye share the socket).
+// lock (Step, pings, and bye share the socket).
 func (c *Client) writeJSONLocked(v any) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -543,41 +539,10 @@ func (c *Client) take(id int64) *Pending {
 	return p
 }
 
-// throttled schedules the jittered resend of a throttled frame. The entry
-// stays pending: its Wait resolves with the eventual ack. The backoff
-// aborts the moment the connection dies: a dead connection has already
-// resolved the pending, its caller may have reclaimed (or resent through a
-// failover replacement) the request batch, and a resend goroutine that
-// slept through the teardown must not re-encode from it.
-func (c *Client) throttled(id int64, retryMS int) bool {
-	c.throttles.Add(1)
-	c.mu.Lock()
-	p := c.pending[id]
-	c.mu.Unlock()
-	if p == nil {
-		c.fail(fmt.Errorf("streamclient: throttle for unknown frame id %d", id))
-		return false
-	}
-	go func(reqs []wire.Point, wait time.Duration) {
-		timer := time.NewTimer(Jitter(wait))
-		defer timer.Stop()
-		select {
-		case <-c.done:
-			c.throttleAborts.Add(1)
-			return
-		case <-timer.C:
-		}
-		if err := c.writeStep(id, reqs); err != nil {
-			c.fail(err)
-		}
-	}(p.reqs, time.Duration(retryMS)*time.Millisecond)
-	return true
-}
-
 // readLoop dispatches received frames in the negotiated encoding: every
 // frame stamps the liveness clock, acks and per-frame errors resolve
-// their Pending, throttles schedule a jittered resend, pongs are liveness
-// only, and a connection-level error frame (or a read error) kills the
+// their Pending, pongs are liveness only, and a connection-level error
+// frame, a frame of any other type, or a read error kills the
 // connection.
 func (c *Client) readLoop(br *bufio.Reader) {
 	if c.binary {
@@ -590,7 +555,7 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			c.fail(err)
 			return
 		}
-		c.lastRecv.Store(time.Now().UnixNano())
+		c.lastRecv.Store(int64(time.Since(c.epoch)))
 		head, err := wire.PeekFrame(line)
 		if err != nil {
 			c.fail(err)
@@ -606,15 +571,6 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			if p := c.take(ack.ID); p != nil {
 				p.ack = ack
 				p.ch <- stepResult{}
-			}
-		case wire.FrameThrottle:
-			var th wire.ThrottleFrame
-			if err := wire.UnmarshalStrict(line, &th); err != nil {
-				c.fail(err)
-				return
-			}
-			if !c.throttled(th.ID, th.RetryAfterMS) {
-				return
 			}
 		case wire.FramePong:
 			// Liveness only; the lastRecv stamp above did the work.
@@ -645,7 +601,7 @@ func (c *Client) readBinary(br *bufio.Reader) {
 			c.fail(err)
 			return
 		}
-		c.lastRecv.Store(time.Now().UnixNano())
+		c.lastRecv.Store(int64(time.Since(c.epoch)))
 		switch tag {
 		case wire.BinAck:
 			id, err := wire.BinaryAckID(payload)
@@ -662,15 +618,6 @@ func (c *Client) readBinary(br *bufio.Reader) {
 				return
 			}
 			p.ch <- stepResult{}
-		case wire.BinThrottle:
-			var th wire.ThrottleFrame
-			if err := wire.DecodeThrottle(payload, &th); err != nil {
-				c.fail(err)
-				return
-			}
-			if !c.throttled(th.ID, th.RetryAfterMS) {
-				return
-			}
 		case wire.BinPong:
 			// Liveness only.
 		case wire.BinError:
@@ -704,26 +651,52 @@ func (c *Client) errorFrame(ef wire.ErrorFrame) bool {
 	return false
 }
 
-// heartbeat pings at the configured cadence and declares the connection
-// dead after HeartbeatTimeout of total silence. Any received frame resets
-// the clock — pongs ride the same ordered reply queue as acks, so one
-// arriving proves the server's whole pipeline (reader, step loop, writer)
-// is alive, not just the TCP connection.
+// heartbeat pings at the configured cadence and judges each tick with
+// heartbeatTick. Any received frame answers every ping sent before it:
+// pongs ride the same ordered reply queue as acks, so one arriving proves
+// the server's whole pipeline (reader, step loop, writer) is alive, not
+// just the TCP connection.
 func (c *Client) heartbeat() {
 	ticker := time.NewTicker(c.opts.HeartbeatEvery)
 	defer ticker.Stop()
+	prev := time.Now()
+	var probe time.Time
 	for {
 		select {
 		case <-c.done:
 			return
 		case <-ticker.C:
-			silence := time.Since(time.Unix(0, c.lastRecv.Load()))
-			if silence > c.opts.HeartbeatTimeout {
+			now := time.Now()
+			recv := c.epoch.Add(time.Duration(c.lastRecv.Load()))
+			var dead bool
+			probe, dead = heartbeatTick(now, prev, probe, recv, c.opts.HeartbeatEvery, c.opts.HeartbeatTimeout)
+			if dead {
 				c.fail(ErrHeartbeat)
 				return
 			}
+			prev = now
 			_ = c.writeControl(wire.BinPing, wire.PingFrame{V: wire.V1, Type: wire.FramePing})
 		}
+	}
+}
+
+// heartbeatTick judges one heartbeat tick at now. prev is the previous
+// tick, recv the arrival of the latest frame, and probe the send time of
+// the oldest ping no frame has answered since (zero when none is
+// outstanding). It returns the probe to carry forward — every tick sends
+// a ping — and whether the peer is dead, which only a ping that has gone
+// unanswered for longer than timeout can show. A tick that fires more
+// than one period late gives no verdict and starts a fresh probe: this
+// process was paused, and the pause, not the peer, may have held the
+// frames back.
+func heartbeatTick(now, prev, probe, recv time.Time, every, timeout time.Duration) (time.Time, bool) {
+	switch {
+	case now.Sub(prev) > 2*every:
+		return now, false
+	case probe.IsZero() || !recv.Before(probe):
+		return now, false
+	default:
+		return probe, now.Sub(probe) > timeout
 	}
 }
 

@@ -47,17 +47,18 @@ const (
 	WireBinary = "binary"
 )
 
-// Binary frame tags, one per frame type of the NDJSON grammar.
+// Binary frame tags, one per frame type of the NDJSON grammar. Tag 0x05
+// is unassigned: no frame uses it, and both peers reject it as an
+// unexpected frame.
 const (
-	BinHello    byte = 0x01
-	BinWelcome  byte = 0x02
-	BinStep     byte = 0x03
-	BinAck      byte = 0x04
-	BinThrottle byte = 0x05
-	BinError    byte = 0x06
-	BinBye      byte = 0x07
-	BinPing     byte = 0x08
-	BinPong     byte = 0x09
+	BinHello   byte = 0x01
+	BinWelcome byte = 0x02
+	BinStep    byte = 0x03
+	BinAck     byte = 0x04
+	BinError   byte = 0x06
+	BinBye     byte = 0x07
+	BinPing    byte = 0x08
+	BinPong    byte = 0x09
 )
 
 // DefaultMaxFrame is the payload bound the stream endpoints pass to
@@ -75,8 +76,6 @@ func binTagName(tag byte) string {
 		return FrameStep
 	case BinAck:
 		return FrameAck
-	case BinThrottle:
-		return FrameThrottle
 	case BinError:
 		return FrameError
 	case BinBye:
@@ -595,30 +594,6 @@ func DecodeAck(payload []byte, f *AckFrame) error {
 		shards = nil
 	}
 	f.Shards = shards
-	return r.done()
-}
-
-// AppendThrottle appends the throttle payload: v, id, retry_after_ms.
-func AppendThrottle(dst []byte, f *ThrottleFrame) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.V))
-	dst = binary.AppendVarint(dst, f.ID)
-	return binary.AppendUvarint(dst, uint64(f.RetryAfterMS))
-}
-
-// DecodeThrottle decodes a throttle payload.
-func DecodeThrottle(payload []byte, f *ThrottleFrame) error {
-	r := binReader{payload}
-	var err error
-	if f.V, err = r.count(); err != nil {
-		return err
-	}
-	f.Type = FrameThrottle
-	if f.ID, err = r.varint(); err != nil {
-		return err
-	}
-	if f.RetryAfterMS, err = r.count(); err != nil {
-		return err
-	}
 	return r.done()
 }
 

@@ -43,7 +43,6 @@ func binFrames() []struct {
 			Shards:    []ShardStep{{Shard: 0, Routed: 3, Cost: Cost{Move: 1, Serve: 2, Total: 3}}, {Shard: 1, Routed: 5}},
 		},
 	}
-	throttle := ThrottleFrame{V: V1, Type: FrameThrottle, ID: 3, RetryAfterMS: 250}
 	errFrame := ErrorFrame{V: V1, Type: FrameError, ID: ptr(int64(11)), Err: Error{
 		Code: CodeNotDurable, Detail: "disk full", RetryAfterMS: 50, ExecutedT: ptr(9),
 	}}
@@ -70,9 +69,6 @@ func binFrames() []struct {
 		{"ack", BinAck, ack,
 			func(dst []byte) []byte { f := ack; return AppendAck(dst, &f) },
 			func(p []byte) (any, error) { var f AckFrame; err := DecodeAck(p, &f); return f, err }},
-		{"throttle", BinThrottle, throttle,
-			func(dst []byte) []byte { f := throttle; return AppendThrottle(dst, &f) },
-			func(p []byte) (any, error) { var f ThrottleFrame; err := DecodeThrottle(p, &f); return f, err }},
 		{"error", BinError, errFrame,
 			func(dst []byte) []byte { f := errFrame; return AppendErrorFrame(dst, &f) },
 			func(p []byte) (any, error) { var f ErrorFrame; err := DecodeErrorFrame(p, &f); return f, err }},

@@ -38,7 +38,9 @@ func binFrame(tag byte, payload []byte) []byte {
 
 // fuzzSeeds maps each fuzz target to its committed seed corpus. Every
 // frame type of the grammar appears in both encodings, plus the legacy
-// and bare checkpoint envelopes and a handful of malformed shapes.
+// and bare checkpoint envelopes, the retired throttle frame (whose type
+// and tag 0x05 no decoder accepts any more), and a handful of malformed
+// shapes.
 var fuzzSeeds = map[string][][]byte{
 	"FuzzUnmarshalStrict": {
 		[]byte(`{"v":1,"type":"hello","dim":2}`),
@@ -55,7 +57,7 @@ var fuzzSeeds = map[string][][]byte{
 		[]byte(`{"v":1,"type":"welcome","algorithm":"MtC","t":4,"dim":2,"wire":"binary","last":{"t":3,"batched":1,"cost":{"move":1,"serve":2,"total":3},"clamped":0,"positions":[[1,2]]}}`),
 		[]byte(`{"v":1,"type":"step","id":7,"requests":[[3,4],[5,6]]}`),
 		[]byte(`{"v":1,"type":"ack","id":7,"t":1,"accepted":2,"batched":2,"cost":{"move":0,"serve":1,"total":1},"positions":[[1,1]],"shards":[{"shard":0,"routed":2,"cost":{"move":0,"serve":1,"total":1}}]}`),
-		[]byte(`{"v":1,"type":"throttle","id":9,"retry_after_ms":50}`),
+		[]byte(`{"v":1,"type":"throttle","id":9,"retry_after_ms":50}`), // retired type: no decoder
 		[]byte(`{"v":1,"type":"error","id":4,"error":{"code":"not_durable","detail":"disk","executed_t":3}}`),
 		[]byte(`{"v":1,"type":"ping"}`),
 		[]byte(`{"v":1,"type":"pong"}`),
@@ -89,7 +91,6 @@ func init() {
 	welcome := &WelcomeFrame{V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 4, Dim: 2, Wire: WireBinary, Last: last, Window: 8, Ring: ring}
 	ack := AppendAckFrom(nil, V1, 7, 1, 2, 2, Cost{Serve: 1, Total: 1}, 0,
 		[]Point{{1, 1}}, []ShardStep{{Shard: 0, Routed: 2, Cost: Cost{Serve: 1, Total: 1}}})
-	throttle := &ThrottleFrame{V: V1, Type: FrameThrottle, ID: 9, RetryAfterMS: 50}
 	errID := int64(4)
 	errf := &ErrorFrame{V: V1, Type: FrameError, ID: &errID, Err: Error{Code: CodeBadFrame, Detail: "x"}}
 	fuzzSeeds["FuzzBinaryFrame"] = [][]byte{
@@ -97,7 +98,7 @@ func init() {
 		binFrame(BinWelcome, AppendWelcome(nil, welcome)),
 		binFrame(BinStep, AppendStepFrom(nil, V1, 7, []Point{{3, 4}, {5, 6}})),
 		binFrame(BinAck, ack),
-		binFrame(BinThrottle, AppendThrottle(nil, throttle)),
+		{0x05, 3, 1, 18, 50}, // unassigned tag 0x05 (the retired throttle frame)
 		binFrame(BinError, AppendErrorFrame(nil, errf)),
 		binFrame(BinBye, AppendControl(nil, V1)),
 		binFrame(BinPing, AppendControl(nil, V1)),
@@ -203,9 +204,6 @@ func FuzzNDJSONFrame(f *testing.F) {
 		case FrameAck:
 			var v AckFrame
 			_ = UnmarshalStrict(line, &v)
-		case FrameThrottle:
-			var v ThrottleFrame
-			_ = UnmarshalStrict(line, &v)
 		case FrameError:
 			var v ErrorFrame
 			_ = UnmarshalStrict(line, &v)
@@ -273,9 +271,6 @@ func FuzzBinaryFrame(f *testing.F) {
 						t.Fatalf("ack round trip: %v, %+v vs %+v", err, v, v2)
 					}
 				}
-			case BinThrottle:
-				var v ThrottleFrame
-				_ = DecodeThrottle(payload, &v)
 			case BinError:
 				var v ErrorFrame
 				if DecodeErrorFrame(payload, &v) == nil {

@@ -1,9 +1,8 @@
 // The scenario-lab result schema: the per-cell summary one experiment
 // writes, the cross-cell report a sweep aggregates, and the compact
-// lab_matrix entry merged into the BENCH_*.json trajectory. They live in
-// wire (not internal/lab) because they are an on-disk interchange format
-// like the checkpoint document: external tooling reads the files, and
-// CI's bench summary embeds the bench entry verbatim.
+// lab_matrix entry (bench.json). They live in wire (not internal/lab)
+// because they are an on-disk interchange format like the checkpoint
+// document: external tooling reads the files.
 
 package wire
 
@@ -76,12 +75,12 @@ type LabReport struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 	// Summaries holds every cell's summary, sorted by cell name.
 	Summaries []LabCellSummary `json:"summaries"`
-	// Bench is the compact entry bench.sh merges into BENCH_*.json.
+	// Bench is the compact lab_matrix entry, also written as bench.json.
 	Bench LabBenchEntry `json:"bench"`
 }
 
-// LabBenchEntry is the "lab_matrix" entry of the BENCH_*.json trajectory:
-// the sweep's headline answer to "which policy wins where".
+// LabBenchEntry is the sweep's compact "lab_matrix" entry (bench.json):
+// its headline answer to "which policy wins where".
 type LabBenchEntry struct {
 	// Matrix is the spec name; Cells the number of cells aggregated.
 	Matrix string `json:"matrix"`

@@ -39,10 +39,6 @@ const (
 	// FrameAck answers one step frame (server -> client), in submission
 	// order, with the executed step's outcome.
 	FrameAck = "ack"
-	// FrameThrottle refuses one step frame under backpressure
-	// (server -> client): the batch was NOT enqueued; resend the same id
-	// after the carried backoff.
-	FrameThrottle = "throttle"
 	// FrameError reports a per-message or fatal error (server -> client).
 	FrameError = "error"
 	// FrameBye closes a stream gracefully (client -> server).
@@ -69,8 +65,9 @@ const (
 	// CodeBadRequest: the frame was well-formed but its payload was
 	// rejected (dimension mismatch, non-finite coordinates).
 	CodeBadRequest = "bad_request"
-	// CodeOverloaded: the bounded queue is full. On the streaming
-	// transport this travels as a throttle frame, not an error frame.
+	// CodeOverloaded: the bounded queue is full. Only the per-request
+	// HTTP API refuses on a full queue (429 + Retry-After); a stream waits
+	// for a queue slot instead, so no stream frame carries this code.
 	CodeOverloaded = "overloaded"
 	// CodeNotDurable: the step EXECUTED but its checkpoint write failed;
 	// ExecutedT carries the step index. Resending would double-feed.
@@ -93,8 +90,8 @@ const (
 type Error struct {
 	Code   string `json:"code"`
 	Detail string `json:"detail,omitempty"`
-	// RetryAfterMS accompanies overloaded/throttle: how long to back off
-	// before resending, in milliseconds.
+	// RetryAfterMS accompanies overloaded: how long to back off before
+	// resending, in milliseconds.
 	RetryAfterMS int `json:"retry_after_ms,omitempty"`
 	// ExecutedT accompanies not_durable: the step that DID execute. The
 	// batch was served and is in the metrics — do not resend it.
@@ -222,9 +219,8 @@ type PongFrame struct {
 // StepFrame submits one batch:
 // `{"v":1,"type":"step","id":7,"requests":[[3,4],[5,6]]}`.
 // ID is chosen by the client (unique per connection; monotonically
-// increasing by convention) and echoed on the ack/throttle/error that
-// answers the frame, so a pipelining client can match replies without
-// counting.
+// increasing by convention) and echoed on the ack/error that answers the
+// frame, so a pipelining client can match replies without counting.
 type StepFrame struct {
 	V        int     `json:"v"`
 	Type     string  `json:"type"`
@@ -241,17 +237,6 @@ type AckFrame struct {
 	Type string `json:"type"`
 	ID   int64  `json:"id"`
 	StepResponse
-}
-
-// ThrottleFrame is typed backpressure: the identified step frame was
-// refused (NOT enqueued, NOT executed) because the bounded queue is full.
-// Resend the same id after RetryAfterMS. It replaces the HTTP path's
-// 429/Retry-After churn.
-type ThrottleFrame struct {
-	V            int    `json:"v"`
-	Type         string `json:"type"`
-	ID           int64  `json:"id"`
-	RetryAfterMS int    `json:"retry_after_ms"`
 }
 
 // ErrorFrame reports an error. With an ID it answers that step frame (in

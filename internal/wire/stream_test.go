@@ -113,20 +113,6 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestThrottleFrameRoundTrip(t *testing.T) {
-	b, err := json.Marshal(ThrottleFrame{V: V1, Type: FrameThrottle, ID: 12, RetryAfterMS: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ThrottleFrame
-	if err := UnmarshalStrict(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != 12 || back.RetryAfterMS != 7 || back.Type != FrameThrottle || back.V != V1 {
-		t.Fatalf("round-trip = %+v", back)
-	}
-}
-
 // TestParseCheckpointVersions covers all three generations of the
 // checkpoint format plus major-version rejection in the new stamp.
 func TestParseCheckpointVersions(t *testing.T) {
