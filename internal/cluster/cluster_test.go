@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +84,9 @@ func startCluster(t *testing.T, cfg core.Config, copts CoordinatorOptions) *http
 		ts.CloseClientConnections()
 		ts.Close()
 		_ = srv.Close()
+		// Finish closes the coordinator's worker streams and stops their
+		// heartbeats; Close alone leaves them running past the test.
+		srv.Finish()
 	})
 	return ts
 }
@@ -385,6 +389,28 @@ func TestHeartbeatDetectsSilentWorker(t *testing.T) {
 	}
 	if st.Workers[0] != copts.Workers[1] {
 		t.Fatalf("shard 0 not rehomed off the silent worker: %v", st.Workers)
+	}
+}
+
+// TestClusterTestsLeaveNoGoroutines runs two cluster tests as subtests and
+// requires the goroutine count to settle back to where it started: the
+// helpers' cleanups must finish the coordinator, or its worker streams and
+// heartbeats outlive every test and pile up under -count=N.
+func TestClusterTestsLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	t.Run("ClusterMatchesLocal", TestClusterMatchesLocal)
+	t.Run("HeartbeatDetectsSilentWorker", TestHeartbeatDetectsSilentWorker)
+	// Torn-down connections unwind asynchronously; poll until they have.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the cluster tests (%d before, %d after)", n-before, before, n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

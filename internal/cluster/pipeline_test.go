@@ -62,6 +62,9 @@ func startDirectCluster(t *testing.T, cfg core.Config, copts CoordinatorOptions,
 		ts.CloseClientConnections()
 		ts.Close()
 		_ = srv.Close()
+		// Finish closes the coordinator's worker streams and stops their
+		// heartbeats; Close alone leaves them running past the test.
+		srv.Finish()
 	})
 	return ts, co
 }

@@ -13,9 +13,19 @@ import (
 // but writes the result into dst (grown as needed) and keeps all solver
 // intermediates in a pooled scratch area instead of allocating per call.
 //
+// In two dimensions, the serving stack's, the Weiszfeld loop runs on
+// local variables instead of the scratch buffers: every sum starts at 0
+// and adds point by point in the generic loop's order, so each rounding
+// matches. The bit-identity with Closest is pinned on linux/amd64, where
+// Go never fuses a multiply and an add; on platforms whose compiler may
+// contract them into FMA instructions (arm64), the two loops can be
+// contracted differently and the last bit may differ.
+//
 // The one exception is the non-collinear 3-point fast path, which still
 // allocates inside the closed-form Fermat–Torricelli construction; steady
 // loops that must stay at 0 allocs/op should batch r != 3 requests.
+//
+//moblint:hotpath
 func ClosestInto(dst geom.Point, pts []geom.Point, anchor geom.Point, opts Options) geom.Point {
 	if len(pts) == 0 {
 		panic("median: ClosestInto on empty point set")
@@ -172,9 +182,13 @@ func (sc *scratch) collinearClosest(dst geom.Point, pts []geom.Point, anchor geo
 }
 
 // weiszfeld mirrors the allocating weiszfeld/weiszfeldStep pair with the
-// iterates, numerator, and residual kept in scratch buffers.
+// iterates, numerator, and residual kept in scratch buffers, or, in two
+// dimensions, in weiszfeld2D's local variables.
 func (sc *scratch) weiszfeld(dst geom.Point, pts []geom.Point, o Options, spread float64) geom.Point {
 	d := pts[0].Dim()
+	if d == 2 {
+		return weiszfeld2D(dst, pts, o, spread)
+	}
 	sc.y = resizePoint(sc.y, d)
 	sc.next = resizePoint(sc.next, d)
 	sc.numer = resizePoint(sc.numer, d)
@@ -265,4 +279,76 @@ func (sc *scratch) weiszfeldStepInto(next geom.Point, pts []geom.Point, y geom.P
 		next[k] = (1-beta)*(inv*numer[k]) + beta*y[k]
 	}
 	return false
+}
+
+// weiszfeld2D is weiszfeld for d = 2 with the iterate, the step's sums,
+// the Vardi–Zhang blend and the convergence distance all in local
+// variables. Each expression is the generic loop's, coordinate by
+// coordinate: sums start at 0 and add point by point in the same order,
+// so every intermediate rounds exactly as there.
+func weiszfeld2D(dst geom.Point, pts []geom.Point, o Options, spread float64) geom.Point {
+	y0, y1 := 0.0, 0.0
+	for _, p := range pts {
+		y0 += p[0]
+		y1 += p[1]
+	}
+	s := 1 / float64(len(pts))
+	y0, y1 = s*y0, s*y1
+
+	tol := o.Tol * spread
+	snapTol := 1e-14 * spread
+	for iter := 0; iter < o.MaxIter; iter++ {
+		// One weiszfeldStepInto from (y0, y1) to (n0, n1).
+		numer0, numer1, r0, r1 := 0.0, 0.0, 0.0, 0.0
+		denom, eta := 0.0, 0.0
+		for _, v := range pts {
+			v0, v1 := v[0], v[1]
+			d0, d1 := y0-v0, y1-v1
+			distSq := 0.0
+			distSq += d0 * d0
+			distSq += d1 * d1
+			di := math.Sqrt(distSq)
+			if di <= snapTol {
+				eta++
+				continue
+			}
+			w := 1 / di
+			denom += w
+			numer0 += v0 * w
+			r0 += (v0 - y0) * w
+			numer1 += v1 * w
+			r1 += (v1 - y1) * w
+		}
+		if denom == 0 {
+			break // every point coincides with y, which is optimal
+		}
+		inv := 1 / denom
+		n0, n1 := inv*numer0, inv*numer1
+		if eta > 0 {
+			// Vardi–Zhang: y is an input point of multiplicity eta; it is
+			// optimal iff ||r|| <= eta, else blend the plain step with y.
+			rNorm := 0.0
+			rNorm += r0 * r0
+			rNorm += r1 * r1
+			rNorm = math.Sqrt(rNorm)
+			if rNorm <= eta {
+				break
+			}
+			beta := eta / rNorm
+			n0 = (1-beta)*n0 + beta*y0
+			n1 = (1-beta)*n1 + beta*y1
+		}
+		// geom.Dist(y, next) <= tol
+		d0, d1 := y0-n0, y1-n1
+		moveSq := 0.0
+		moveSq += d0 * d0
+		moveSq += d1 * d1
+		y0, y1 = n0, n1
+		if math.Sqrt(moveSq) <= tol {
+			break
+		}
+	}
+	dst = resizePoint(dst, 2)
+	dst[0], dst[1] = y0, y1
+	return dst
 }

@@ -43,6 +43,11 @@ func Run(in *core.FleetInstance, alg core.FleetAlgorithm, tol float64) (*engine.
 type MtCK struct {
 	cfg core.Config
 	pos []geom.Point
+	// buckets holds each server's share of the current batch, and center
+	// the 1-median being chased. Move reuses both every step, so the
+	// steady loop allocates nothing once they have grown.
+	buckets [][]geom.Point
+	center  geom.Point
 }
 
 // NewMtCK returns the fleet Move-to-Center controller.
@@ -58,14 +63,22 @@ func (a *MtCK) Reset(cfg core.Config, starts []geom.Point) {
 	for i, s := range starts {
 		a.pos[i] = s.Clone()
 	}
+	a.buckets = make([][]geom.Point, len(starts))
 }
 
-// Move implements core.FleetAlgorithm.
+// Move implements core.FleetAlgorithm. It moves the servers in place: the
+// returned slice and its points are the controller's own and are
+// overwritten by the next Move (the engine copies them at once). Only the
+// non-collinear 3-request share allocates, inside median.ThreePoints.
+//
+//moblint:hotpath
 func (a *MtCK) Move(requests []geom.Point) []geom.Point {
 	if len(requests) == 0 {
 		return a.pos
 	}
-	assigned := make([][]geom.Point, len(a.pos))
+	for j := range a.buckets {
+		a.buckets[j] = a.buckets[j][:0]
+	}
 	for _, v := range requests {
 		bestJ, bestD := 0, math.Inf(1)
 		for j, p := range a.pos {
@@ -73,19 +86,18 @@ func (a *MtCK) Move(requests []geom.Point) []geom.Point {
 				bestD, bestJ = d, j
 			}
 		}
-		assigned[bestJ] = append(assigned[bestJ], v)
+		a.buckets[bestJ] = append(a.buckets[bestJ], v)
 	}
 	cap := a.cfg.OnlineCap()
-	for j := range a.pos {
-		batch := assigned[j]
+	for j, batch := range a.buckets {
 		if len(batch) == 0 {
 			continue
 		}
-		c := median.Closest(batch, a.pos[j], median.Options{})
-		dist := geom.Dist(a.pos[j], c)
+		a.center = median.ClosestInto(a.center, batch, a.pos[j], median.Options{})
+		dist := geom.Dist(a.pos[j], a.center)
 		speed := math.Min(1, float64(len(batch))/a.cfg.D)
 		step := math.Min(speed*dist, cap)
-		a.pos[j] = geom.MoveToward(a.pos[j], c, step)
+		a.pos[j] = geom.MoveTowardInto(a.pos[j], a.pos[j], a.center, step)
 	}
 	return a.pos
 }
