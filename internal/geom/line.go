@@ -203,18 +203,3 @@ func (b Box) Center() Point { return Midpoint(b.Min, b.Max) }
 
 // Diagonal returns the length of the box diagonal.
 func (b Box) Diagonal() float64 { return Dist(b.Min, b.Max) }
-
-// Clamp returns p with every coordinate clamped into the box.
-func (b Box) Clamp(p Point) Point {
-	assertSameDim(b.Min, p)
-	out := p.Clone()
-	for i := range out {
-		if out[i] < b.Min[i] {
-			out[i] = b.Min[i]
-		}
-		if out[i] > b.Max[i] {
-			out[i] = b.Max[i]
-		}
-	}
-	return out
-}

@@ -208,13 +208,3 @@ func TestBoxUnion(t *testing.T) {
 		t.Fatalf("Union = %v..%v", u.Min, u.Max)
 	}
 }
-
-func TestBoxClamp(t *testing.T) {
-	b := Bounds([]Point{NewPoint(0, 0), NewPoint(10, 10)})
-	if !b.Clamp(NewPoint(-5, 20)).Equal(NewPoint(0, 10)) {
-		t.Fatalf("Clamp = %v", b.Clamp(NewPoint(-5, 20)))
-	}
-	if !b.Clamp(NewPoint(3, 4)).Equal(NewPoint(3, 4)) {
-		t.Fatal("Clamp moved interior point")
-	}
-}

@@ -44,14 +44,16 @@ func TestClosestIntoMatchesClosest(t *testing.T) {
 	}
 	plain := []geom.Point{{0, 0}, {4, 0}, {1, 3}, {-2, 1}, {3, 3}}
 	// In each set below the centroid, the first iterate, is the set's
-	// first point. onOptimal and onNonOptimal are TestIterateOnDataPoint's
-	// and TestIterateOnNonOptimalDataPoint's sets; the unit vectors from
-	// the origin sum to less than 1 in both (0 and ≈0.44), so the first
-	// step certifies the origin optimal. In offOptimal they sum to ≈2.95,
-	// so the step takes the Vardi–Zhang blend; the set sits off the origin
-	// so that the blend's y terms are not zero.
+	// first point. In onOptimal, TestIterateOnDataPoint's set, and in
+	// onResidual the unit vectors from the origin sum to less than 1 (0
+	// and ≈0.44), so the first step certifies the origin optimal. In
+	// onNonOptimal, TestIterateOnNonOptimalDataPoint's set, they sum to
+	// √2 and in offOptimal to ≈2.95, so the step takes the Vardi–Zhang
+	// blend; offOptimal sits off the origin so that the blend's y terms
+	// are not zero.
 	onOptimal := []geom.Point{{0, 0}, {4, 0}, {-4, 0}, {0, 4}, {0, -4}}
-	onNonOptimal := []geom.Point{{0, 0}, {6, 1}, {6, -1}, {-3, 3}, {-3, -3}, {-6, 0}}
+	onResidual := []geom.Point{{0, 0}, {6, 1}, {6, -1}, {-3, 3}, {-3, -3}, {-6, 0}}
+	onNonOptimal := []geom.Point{{0, 0}, {1, 1}, {1, -1}, {1, 0}, {-3, 0}}
 	offOptimal := []geom.Point{{0.3, -1.7}, {1.3, -1.6}, {1.3, -1.8}, {1.3, -1.5}, {1.3, -1.9}, {-3.7, -1.7}}
 	cases := []row{
 		{name: "single", pts: []geom.Point{{1.5, 2.5}}},
@@ -63,6 +65,7 @@ func TestClosestIntoMatchesClosest(t *testing.T) {
 		{name: "three-noncollinear", pts: []geom.Point{{0, 0}, {4, 0}, {1, 3}}},
 		{name: "weiszfeld", pts: plain},
 		{name: "iterate-on-optimal-point", pts: onOptimal},
+		{name: "iterate-on-optimal-point-residual", pts: onResidual},
 		{name: "iterate-on-non-optimal-point", pts: onNonOptimal},
 		{name: "vardi-zhang-blend", pts: offOptimal},
 		{name: "heavy-duplicates", pts: heavyDuplicates()},

@@ -30,15 +30,26 @@ func TestIterateOnDataPoint(t *testing.T) {
 }
 
 func TestIterateOnNonOptimalDataPoint(t *testing.T) {
-	// Centroid coincides with a data point that is NOT the median: the
-	// iteration must escape it.
-	pts := []geom.Point{
-		pt(0, 0),
-		pt(6, 1), pt(6, -1),
-		pt(-3, 3), pt(-3, -3), pt(-6, 0),
+	// The centroid (0,0) is a data point but not the median: the unit
+	// vectors from it to the other points sum to (√2, 0), longer than its
+	// multiplicity 1. So the first step must take the Vardi–Zhang blend,
+	// landing strictly between the centroid and the plain Weiszfeld point
+	// (√2/(√2+4/3), 0) ≈ (0.5147, 0), and the iteration must then reach
+	// the true median (1 − 1/√3, 0).
+	pts := []geom.Point{pt(0, 0), pt(1, 1), pt(1, -1), pt(1, 0), pt(-3, 0)}
+	y := geom.Centroid(pts)
+	if !y.Equal(pts[0]) {
+		t.Fatalf("centroid %v, want the data point %v", y, pts[0])
 	}
-	// Centroid = (0,0) = pts[0]; true median is left of center.
+	plain := math.Sqrt2 / (math.Sqrt2 + 4.0/3)
+	next, done := weiszfeldStep(pts, y, 1e-14*geom.Spread(pts))
+	if done || math.Abs(next[1]) > 1e-12 || next[0] <= 1e-9 || next[0] >= plain-1e-9 {
+		t.Fatalf("first step = %v (done %v), want strictly between (0, 0) and (%.4f, 0)", next, done, plain)
+	}
 	set := Solve(pts, Options{})
+	if want := pt(1-1/math.Sqrt(3), 0); !set.Seg.A.ApproxEqual(want, 1e-6) {
+		t.Fatalf("median = %v, want %v", set.Seg.A, want)
+	}
 	got := Cost(set.Seg.A, pts)
 	grid := gridSearch(pts, 50)
 	if got > grid*(1+1e-3) {

@@ -6,10 +6,17 @@
 // Every generator is deterministic given its random stream, so experiments
 // are reproducible, and every generator emits instances that pass
 // core.Instance.Validate.
+//
+// A generated instance's requests are carved from a few arrays allocated
+// up front, not allocated point by point: keeping one step (or one
+// request) alive keeps its whole array chunk alive. Each point is capped
+// at its dimension and each step's Requests at its length, so an append
+// reallocates instead of writing into a neighbour.
 package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -35,22 +42,83 @@ func arena(dim int, half float64) geom.Box {
 	return geom.Box{Min: lo, Max: hi}
 }
 
-// uniformIn draws a point uniformly from the box.
-func uniformIn(r *xrand.Rand, b geom.Box) geom.Point {
-	p := make(geom.Point, b.Min.Dim())
+// pointPool hands out each step's Requests from two arrays allocated up
+// front: the point headers and their coordinates.
+type pointPool struct {
+	dim int
+	// perStep is the expected requests per step; a refill covers the
+	// steps left at this rate.
+	perStep float64
+	free    []geom.Point
+}
+
+// newPointPool returns a pool holding n points of dimension dim.
+func newPointPool(dim, n int, perStep float64) *pointPool {
+	return &pointPool{dim: dim, perStep: perStep, free: carve(n, dim)}
+}
+
+// countPool returns a pool for T steps of drawCount(fixed, poissonMean)
+// requests: exact for a fixed count, sized from the mean otherwise.
+func countPool(dim, T, fixed int, poissonMean float64) *pointPool {
+	if poissonMean > 0 {
+		mean := math.Max(poissonMean, 1)
+		return newPointPool(dim, int(math.Ceil(float64(T)*mean)), mean)
+	}
+	return newPointPool(dim, T*fixed, float64(fixed))
+}
+
+// take returns n zero points for a step with stepsLeft steps to go, this
+// one included. A pool that runs short refills with a chunk sized for
+// the steps left, never with one point at a time.
+func (p *pointPool) take(n, stepsLeft int) []geom.Point {
+	if n > len(p.free) {
+		p.free = carve(max(n, int(math.Ceil(float64(stepsLeft)*p.perStep))), p.dim)
+	}
+	pts := p.free[:n:n]
+	p.free = p.free[n:]
+	return pts
+}
+
+// carve returns n zero points of dimension dim cut from one array, each
+// capped at dim.
+func carve(n, dim int) []geom.Point {
+	pts := make([]geom.Point, n)
+	coords := make([]float64, n*dim)
+	for i := range pts {
+		pts[i] = coords[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return pts
+}
+
+// uniformIn sets p to a point drawn uniformly from the box.
+func uniformIn(r *xrand.Rand, p geom.Point, b geom.Box) {
 	for i := range p {
 		p[i] = r.Range(b.Min[i], b.Max[i])
 	}
-	return p
 }
 
-// gaussianAround draws a point from an isotropic normal clipped to the box.
-func gaussianAround(r *xrand.Rand, center geom.Point, sigma float64, b geom.Box) geom.Point {
-	p := center.Clone()
-	for i := range p {
-		p[i] += r.NormMS(0, sigma)
+// uniformPoints draws n points uniformly from the box.
+func uniformPoints(r *xrand.Rand, n int, b geom.Box) []geom.Point {
+	pts := carve(n, b.Min.Dim())
+	for _, p := range pts {
+		uniformIn(r, p, b)
 	}
-	return b.Clamp(p)
+	return pts
+}
+
+// gaussianAround sets p to a draw from an isotropic normal around center,
+// clamped to the box.
+func gaussianAround(r *xrand.Rand, p, center geom.Point, sigma float64, b geom.Box) {
+	for i := range p {
+		x := center[i] + r.NormMS(0, sigma)
+		if x < b.Min[i] {
+			x = b.Min[i]
+		}
+		if x > b.Max[i] {
+			x = b.Max[i]
+		}
+		p[i] = x
+	}
 }
 
 // drawCount returns the number of requests for one step: Fixed if
@@ -91,14 +159,14 @@ func (u Uniform) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance 
 		reqs = 1
 	}
 	box := arena(cfg.Dim, half)
+	pool := countPool(cfg.Dim, T, reqs, u.PoissonMean)
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
-	for t := 0; t < T; t++ {
-		n := drawCount(r, reqs, u.PoissonMean)
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
-			step.Requests[i] = uniformIn(r, box)
+	for t := range in.Steps {
+		pts := pool.take(drawCount(r, reqs, u.PoissonMean), T-t)
+		for _, p := range pts {
+			uniformIn(r, p, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
@@ -143,16 +211,21 @@ func (h Hotspot) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance 
 		reqs = 1
 	}
 	box := arena(cfg.Dim, half)
+	pool := countPool(cfg.Dim, T, reqs, h.PoissonMean)
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
 	center := geom.Zero(cfg.Dim)
-	heading := randUnit(r, cfg.Dim)
-	for t := 0; t < T; t++ {
-		// Drift with occasional direction changes; reflect at the border.
+	heading := geom.Zero(cfg.Dim)
+	randUnit(r, heading)
+	for t := range in.Steps {
+		// Drift with occasional direction changes; reflect at the border,
+		// then clamp. The conversion keeps the product rounded on its
+		// own: Go may fuse a multiply-add into one FMA, but not across
+		// an explicit conversion.
 		if r.Bernoulli(0.05) {
-			heading = randUnit(r, cfg.Dim)
+			randUnit(r, heading)
 		}
-		center = center.Add(heading.Scale(speed))
 		for i := range center {
+			center[i] += float64(speed * heading[i])
 			if center[i] < box.Min[i] {
 				center[i] = 2*box.Min[i] - center[i]
 				heading[i] = -heading[i]
@@ -161,14 +234,18 @@ func (h Hotspot) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance 
 				center[i] = 2*box.Max[i] - center[i]
 				heading[i] = -heading[i]
 			}
+			if center[i] < box.Min[i] {
+				center[i] = box.Min[i]
+			}
+			if center[i] > box.Max[i] {
+				center[i] = box.Max[i]
+			}
 		}
-		center = box.Clamp(center)
-		n := drawCount(r, reqs, h.PoissonMean)
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
-			step.Requests[i] = gaussianAround(r, center, sigma, box)
+		pts := pool.take(drawCount(r, reqs, h.PoissonMean), T-t)
+		for _, p := range pts {
+			gaussianAround(r, p, center, sigma, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
@@ -219,22 +296,19 @@ func (c Clusters) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance
 		reqs = 1
 	}
 	box := arena(cfg.Dim, half)
-	centers := make([]geom.Point, k)
-	for i := range centers {
-		centers[i] = uniformIn(r, box)
-	}
+	centers := uniformPoints(r, k, box)
 	cur := r.IntN(k)
+	pool := countPool(cfg.Dim, T, reqs, c.PoissonMean)
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
-	for t := 0; t < T; t++ {
+	for t := range in.Steps {
 		if r.Bernoulli(switchProb) {
 			cur = r.IntN(k)
 		}
-		n := drawCount(r, reqs, c.PoissonMean)
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
-			step.Requests[i] = gaussianAround(r, centers[cur], sigma, box)
+		pts := pool.take(drawCount(r, reqs, c.PoissonMean), T-t)
+		for _, p := range pts {
+			gaussianAround(r, p, centers[cur], sigma, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
@@ -284,34 +358,40 @@ func (b Burst) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance {
 	siteA := geom.Zero(cfg.Dim)
 	siteB := geom.Zero(cfg.Dim)
 	siteB[0] = spread
+	quietSteps := T/(quiet+burst)*quiet + min(T%(quiet+burst), quiet)
+	pool := newPointPool(cfg.Dim, quietSteps*rmin+(T-quietSteps)*rmax, float64(rmax))
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
-	for t := 0; t < T; t++ {
+	for t := range in.Steps {
 		phasePos := t % (quiet + burst)
 		site, n := siteA, rmin
 		if phasePos >= quiet {
 			site, n = siteB, rmax
 		}
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
-			step.Requests[i] = gaussianAround(r, site, sigma, box)
+		pts := pool.take(n, T-t)
+		for _, p := range pts {
+			gaussianAround(r, p, site, sigma, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
 
-// randUnit returns a uniformly random unit vector (±1 in 1-D).
-func randUnit(r *xrand.Rand, dim int) geom.Point {
-	if dim == 1 {
-		return geom.NewPoint(r.Sign())
+// randUnit sets v to a uniformly random unit vector (±1 in 1-D).
+func randUnit(r *xrand.Rand, v geom.Point) {
+	if len(v) == 1 {
+		v[0] = r.Sign()
+		return
 	}
 	for {
-		v := make(geom.Point, dim)
 		for i := range v {
 			v[i] = r.Norm()
 		}
 		if n := v.Norm(); n > 1e-9 {
-			return v.Scale(1 / n)
+			s := 1 / n
+			for i := range v {
+				v[i] *= s
+			}
+			return
 		}
 	}
 }

@@ -61,10 +61,7 @@ func (z Zipf) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance {
 		reqs = 1
 	}
 	box := arena(cfg.Dim, half)
-	centers := make([]geom.Point, sites)
-	for i := range centers {
-		centers[i] = uniformIn(r, box)
-	}
+	centers := uniformPoints(r, sites, box)
 	// Cumulative Zipf weights: cum[i] = Σ_{j<=i} 1/(j+1)^s, normalized.
 	cum := make([]float64, sites)
 	total := 0.0
@@ -75,19 +72,19 @@ func (z Zipf) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance {
 	for i := range cum {
 		cum[i] /= total
 	}
+	pool := countPool(cfg.Dim, T, reqs, z.PoissonMean)
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
-	for t := 0; t < T; t++ {
-		n := drawCount(r, reqs, z.PoissonMean)
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
+	for t := range in.Steps {
+		pts := pool.take(drawCount(r, reqs, z.PoissonMean), T-t)
+		for _, p := range pts {
 			u := r.Float64()
 			site := sort.SearchFloat64s(cum, u)
 			if site >= sites {
 				site = sites - 1
 			}
-			step.Requests[i] = gaussianAround(r, centers[site], sigma, box)
+			gaussianAround(r, p, centers[site], sigma, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
@@ -125,20 +122,20 @@ func (d Drift) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance {
 		reqs = 1
 	}
 	box := arena(cfg.Dim, half)
+	pool := countPool(cfg.Dim, T, reqs, d.PoissonMean)
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
 	center := geom.Zero(cfg.Dim)
-	for t := 0; t < T; t++ {
+	for t := range in.Steps {
 		frac := 0.0
 		if T > 1 {
 			frac = float64(t) / float64(T-1)
 		}
 		center[0] = half * (-0.8 + 1.6*frac)
-		n := drawCount(r, reqs, d.PoissonMean)
-		step := core.Step{Requests: make([]geom.Point, n)}
-		for i := 0; i < n; i++ {
-			step.Requests[i] = gaussianAround(r, center, sigma, box)
+		pts := pool.take(drawCount(r, reqs, d.PoissonMean), T-t)
+		for _, p := range pts {
+			gaussianAround(r, p, center, sigma, box)
 		}
-		in.Steps[t] = step
+		in.Steps[t].Requests = pts
 	}
 	return in
 }
