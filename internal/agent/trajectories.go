@@ -17,11 +17,11 @@ import (
 // RandomWalk returns a path that takes a uniformly random direction each
 // step with speed drawn uniformly from [0, speed].
 func RandomWalk(r *xrand.Rand, origin geom.Point, T int, speed float64) []geom.Point {
-	dim := origin.Dim()
+	dir := make(geom.Point, origin.Dim())
 	path := make([]geom.Point, T)
 	cur := origin.Clone()
 	for t := 0; t < T; t++ {
-		dir := randUnit(r, dim)
+		r.UnitInto(dir)
 		cur = cur.Add(dir.Scale(r.Range(0, speed)))
 		path[t] = cur.Clone()
 	}
@@ -32,14 +32,15 @@ func RandomWalk(r *xrand.Rand, origin geom.Point, T int, speed float64) []geom.P
 // with per-step Gaussian jitter of relative magnitude jitter in [0, 1).
 // It models a convoy on a highway.
 func Drift(r *xrand.Rand, origin geom.Point, T int, speed, jitter float64) []geom.Point {
-	dim := origin.Dim()
-	heading := randUnit(r, dim)
+	heading := make(geom.Point, origin.Dim())
+	r.UnitInto(heading)
+	noise := make(geom.Point, origin.Dim())
 	path := make([]geom.Point, T)
 	cur := origin.Clone()
 	for t := 0; t < T; t++ {
 		step := heading.Scale(speed * (1 - jitter))
-		noise := randUnit(r, dim).Scale(speed * jitter * r.Float64())
-		next := cur.Add(step).Add(noise)
+		r.UnitInto(noise)
+		next := cur.Add(step).Add(noise.Scale(speed * jitter * r.Float64()))
 		// Clamp to the speed limit (jitter could overshoot by rounding).
 		cur = geom.MoveToward(cur, next, speed)
 		path[t] = cur.Clone()
@@ -103,21 +104,4 @@ func Patrol(origin, center geom.Point, radius float64, T int, speed float64) []g
 		path[t] = cur.Clone()
 	}
 	return path
-}
-
-// randUnit returns a uniformly random unit vector in ℝ^dim (for dim 1 it
-// returns ±1).
-func randUnit(r *xrand.Rand, dim int) geom.Point {
-	if dim == 1 {
-		return geom.NewPoint(r.Sign())
-	}
-	for {
-		v := make(geom.Point, dim)
-		for i := range v {
-			v[i] = r.Norm()
-		}
-		if n := v.Norm(); n > 1e-9 {
-			return v.Scale(1 / n)
-		}
-	}
 }

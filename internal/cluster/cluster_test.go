@@ -521,8 +521,8 @@ func TestWorkerFencesStaleIncarnation(t *testing.T) {
 	if w := c.Welcome(); w.T != 3 {
 		t.Fatalf("fenced worker answered T = %d, want 3 (reloaded from the newer checkpoint)", w.T)
 	}
-	if w := c.Welcome(); w.Last == nil || w.Last.T != 2 {
-		t.Fatalf("fenced welcome recovery payload = %+v, want step 2", c.Welcome().Last)
+	if w := c.Welcome(); len(w.Ring) != 1 || w.Ring[0].T != 2 {
+		t.Fatalf("fenced welcome recovery ring = %+v, want step 2 alone", w.Ring)
 	}
 }
 

@@ -15,9 +15,9 @@
 // executed but the ack was lost). The coordinator rehomes the shard by
 // dialing another worker with ?floor=t, reads the welcome's step count,
 // and reconciles: T == t resends the batch; T == t+1 recovers the executed
-// step's exact outcome from the welcome's recovery payload (welcome.last)
-// instead of resending. Any other T is a fatal lockstep violation and the
-// coordinator refuses to continue.
+// step's exact outcome from the welcome's recovery ring (welcome.ring,
+// whose newest entry is step T-1) instead of resending. Any other T is a
+// fatal lockstep violation and the coordinator refuses to continue.
 //
 // With a pipelined window (CoordinatorOptions.Window > 1) the invariant
 // generalizes: up to W steps are in flight per shard, workers amortize the
@@ -89,11 +89,10 @@ type CoordinatorOptions struct {
 	// round-trip — and one worker checkpoint fsync — of latency per step.
 	// The usable window is the minimum the workers grant, floored at 1, so
 	// a mixed fleet with one lockstep worker degrades to lockstep instead
-	// of breaking. Failover reconciliation generalizes from the welcome's
-	// single recovery payload to its ack ring: a restored worker at step T
-	// recovers every in-flight step below T from the ring and is resent
-	// the rest, in order, so no step is lost or double-fed at any crash
-	// offset within the window.
+	// of breaking. Failover reconciliation reads the welcome's ack ring:
+	// a restored worker at step T recovers every in-flight step below T
+	// from the ring and is resent the rest, in order, so no step is lost
+	// or double-fed at any crash offset within the window.
 	Window int
 }
 
@@ -430,9 +429,9 @@ func (c *Coordinator) LastFailovers() []wire.FailoverEvent {
 // violation), the fleet is out of sync and the coordinator refuses to
 // compute from inconsistent state.
 //
-// Step is the lockstep form: submit one step and block for it. A windowed
-// service drives StepAsync/ResolveOldest instead to overlap the round
-// trips of up to Window steps.
+// Step is the lockstep form: submit one step and block for it. The
+// service never calls it — it drives StepAsync/ResolveOldest at every
+// window, lockstep included — but protocol.Backend requires it.
 func (c *Coordinator) Step(requests []geom.Point) error {
 	if err := c.StepAsync(requests); err != nil {
 		return err
@@ -755,16 +754,13 @@ func (c *Coordinator) reconcile(i int, cl *streamclient.Client, w wire.WelcomeFr
 }
 
 // ringEntry finds the welcome's recovery payload for step t: the ring
-// entry with that index, or the single-step Last payload a lockstep (or
-// pre-window) worker serves.
+// entry with that index (a lockstep worker's ring holds only its newest
+// step).
 func ringEntry(w wire.WelcomeFrame, t int) *wire.LastStep {
 	for i := range w.Ring {
 		if w.Ring[i].T == t {
 			return &w.Ring[i]
 		}
-	}
-	if w.Last != nil && w.Last.T == t {
-		return w.Last
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // Snapshotter is an optional extension of Algorithm / FleetAlgorithm for
@@ -47,8 +48,7 @@ func (a *MtC) SnapshotState() ([]byte, error) {
 // RestoreState implements Snapshotter.
 func (a *MtC) RestoreState(data []byte) error {
 	var st mtcState
-	//moblint:rawdecode legacy snapshot compatibility: algorithm state blobs are validated structurally (dim check) below
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := wire.UnmarshalStrict(data, &st); err != nil {
 		return fmt.Errorf("core: MtC state: %w", err)
 	}
 	if len(st.Pos) != a.Cfg.Dim {

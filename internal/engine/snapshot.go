@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/wire"
 )
 
 // SnapshotVersion is the format version written by Session.Snapshot.
@@ -98,8 +99,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 // only the steps fed after the restore.
 func Restore(cfg core.Config, alg core.FleetAlgorithm, data []byte, opts Options) (*Session, error) {
 	var snap snapshot
-	//moblint:rawdecode version-gated legacy snapshot compatibility: the Version check below is the gate, and a future document must fail it, not an unknown-field error
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := wire.UnmarshalStrict(data, &snap); err != nil {
 		return nil, fmt.Errorf("engine: bad snapshot: %w", err)
 	}
 	if snap.Version != SnapshotVersion {

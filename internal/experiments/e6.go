@@ -41,7 +41,8 @@ func e6() Experiment {
 // configuration with the given premise coefficient.
 func lemma6Margin(r *xrand.Rand, delta, premiseCoeff float64) float64 {
 	dim := 2 + r.IntN(2) // exercise ℝ² and ℝ³
-	u := randUnitVec(r, dim)
+	u := make(geom.Point, dim)
+	r.UnitInto(u)
 	a1 := r.Range(0.01, 10)
 	// Log-uniform a2 so the critical regime a2 ≫ a1 is covered.
 	a2 := math.Pow(10, r.Range(-2, 3))
@@ -51,7 +52,9 @@ func lemma6Margin(r *xrand.Rand, delta, premiseCoeff float64) float64 {
 	// Bias sampling toward the premise boundary where the minimum lives.
 	frac := 1 - r.Float64()*r.Float64()
 	s2 := frac * premiseCoeff * a2
-	pOptNext := c.Add(randUnitVec(r, dim).Scale(s2))
+	v := make(geom.Point, dim)
+	r.UnitInto(v)
+	pOptNext := c.Add(v.Scale(s2))
 	h := geom.Dist(pOptNext, pAlg)
 	q := geom.Dist(pOptNext, pAlgNext)
 	need := (1 + delta/2) / (1 + delta)
@@ -115,18 +118,6 @@ func runE6(cfg RunConfig) Result {
 		findings = append(findings, fmt.Sprintf("corrected premise FAILED with %d violations — investigate", totalFixedViolations))
 	}
 	return Result{ID: "E6", Title: e6().Title, Claim: e6().Claim, Table: table, Findings: findings}
-}
-
-func randUnitVec(r *xrand.Rand, dim int) geom.Point {
-	for {
-		v := make(geom.Point, dim)
-		for i := range v {
-			v[i] = r.Norm()
-		}
-		if n := v.Norm(); n > 1e-9 {
-			return v.Scale(1 / n)
-		}
-	}
 }
 
 func randVec(r *xrand.Rand, dim int, scale float64) geom.Point {

@@ -19,8 +19,9 @@ import (
 //
 // Flagged calls: encoding/json.Unmarshal and (*encoding/json.Decoder).Decode
 // in non-test files. Deliberately lenient sites (the strict decoder's own
-// implementation, the lenient frame-envelope peek, version-gated legacy
-// checkpoint parsing) carry //moblint:rawdecode <reason>.
+// implementation, the lenient frame-envelope peek, the checkpoint probe
+// that tells a bare snapshot from an envelope) carry
+// //moblint:rawdecode <reason>.
 var StrictDecodeAnalyzer = &analysis.Analyzer{
 	Name:     "strictdecode",
 	Doc:      "flags raw encoding/json decodes that bypass wire.UnmarshalStrict",

@@ -22,6 +22,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/median"
+	"repro/internal/wire"
 )
 
 // ServeCost returns Σ_v min_j d(positions[j], v): every request is served
@@ -119,8 +120,7 @@ func snapshotFleetState(pos []geom.Point) ([]byte, error) {
 
 func restoreFleetState(data []byte, pos []geom.Point) error {
 	var st fleetState
-	//moblint:rawdecode legacy snapshot compatibility: fleet state blobs are validated structurally (count and dim checks) below
-	if err := json.Unmarshal(data, &st); err != nil {
+	if err := wire.UnmarshalStrict(data, &st); err != nil {
 		return err
 	}
 	if len(st.Pos) != len(pos) {

@@ -7,7 +7,9 @@
 // The Service owns everything that used to live inside the HTTP server:
 //
 //   - the single step loop that drives the backend (the engine itself
-//     stays single-threaded);
+//     stays single-threaded): every backend is submitted to and resolved
+//     through one pipelined window, and a synchronous backend is driven
+//     as a window of 1;
 //   - the coalescing window that merges concurrently submitted batches
 //     into one engine step;
 //   - the bounded queue: Submit refuses a full queue with typed
@@ -84,17 +86,19 @@ type ShardedBackend interface {
 	LastRebalance() *shard.RebalanceEvent
 }
 
-// PipelinedBackend is the optional surface a forwarding-tier backend (the
-// cluster coordinator) exposes to let the service keep several backend
-// steps in flight at once instead of blocking on each: StepAsync submits
-// one step's batch without waiting and ResolveOldest blocks for the
-// oldest in-flight step, applying its outcome to the backend's mirrors
-// and notifying the observers exactly as a synchronous Step would — so
+// PipelinedBackend is the surface the service's step loop drives: StepAsync
+// submits one step's batch without waiting and ResolveOldest blocks for the
+// oldest in-flight step, applying its outcome to the backend's mirrors and
+// notifying the observers exactly as a synchronous Step would — so
 // everything the service reads after a resolve (T, Cost, Positions,
 // LastSteps, the observer counters) reflects precisely the resolved
 // prefix. Both are called only from the service's step loop, under the
 // service lock, with resolves strictly in submission order. Window caps
 // how many submissions the backend can hold unresolved.
+//
+// A forwarding-tier backend (the cluster coordinator) implements it to
+// keep several steps in flight at once; any other Backend is driven
+// through an internal adapter whose window is 1.
 //
 // The batch passed to StepAsync must stay valid and unmodified until its
 // ResolveOldest returns (a failover resends it).
@@ -152,17 +156,19 @@ type Options struct {
 	CommitEvery int
 	// AckRing, when > 1, keeps the outcomes of the most recent AckRing
 	// executed steps — each with a deep copy of its post-step positions —
-	// instead of only the newest. The ring is persisted in the checkpoint
-	// and re-served in WelcomeFrame.Ring, so a pipelined client that
-	// reconnects with up to AckRing frames in flight can recover every
-	// executed step's exact outcome and resend only the true suffix. It is
-	// also the pipelined window the service advertises (MaxWindow).
+	// instead of only the newest (the ring always holds at least one
+	// entry). The ring is persisted in the checkpoint and re-served in
+	// WelcomeFrame.Ring, so a pipelined client that reconnects with up to
+	// AckRing frames in flight can recover every executed step's exact
+	// outcome and resend only the true suffix. It is also the pipelined
+	// window the service advertises (MaxWindow).
 	AckRing int
 	// Window, when > 1 and the backend implements PipelinedBackend, lets
 	// the step loop keep up to Window backend steps in flight at once
 	// (submitting new steps while earlier ones await their acks) instead
-	// of blocking on each. Acknowledgements, observer updates, and Watch
-	// events still happen strictly in step order, at each resolve.
+	// of resolving each before the next. Acknowledgements, observer
+	// updates, and Watch events still happen strictly in step order, at
+	// each resolve.
 	Window int
 	// NoCoalesce pins exactly one queued batch per engine step: the loop
 	// never merges concurrently queued batches. A pipelining forwarding
@@ -265,11 +271,11 @@ type positionsInto interface {
 	PositionsInto([]geom.Point) []geom.Point
 }
 
-// LastStep is the outcome of the most recent executed step, kept so a
-// streaming transport can re-serve a lost ack to a reconnecting pipeliner
-// (WelcomeFrame.Last): the step's index, batch size, own cost, clamp
-// count, and the post-step positions. It survives restarts — the
-// checkpoint document persists it alongside the observers.
+// LastStep is one entry of the ack ring (RecentSteps): an executed step's
+// index, batch size, own cost, clamp count, and post-step positions, kept
+// so a streaming transport can re-serve lost acks to a reconnecting client
+// (WelcomeFrame.Ring). It survives restarts — the checkpoint document
+// persists the ring alongside the observers.
 type LastStep struct {
 	T         int
 	Batched   int
@@ -402,10 +408,12 @@ type heldStep struct {
 	ev    MetricsEvent
 }
 
-// flight is one submitted-but-unresolved pipelined step: the merged
-// callers and their combined batch, owned by the flight until its resolve
-// replies (a backend failover resends the batch, so the request storage
-// must stay untouched until then).
+// flight is one submitted-but-unresolved step: the merged callers and
+// their combined batch, owned by the flight until its resolve replies (a
+// backend failover resends the batch, so the request storage must stay
+// untouched until then). The backend and its observers must not retain
+// the batch past the resolve, which lets the transports reuse the request
+// buffers once their ack arrives.
 type flight struct {
 	items []batch
 	reqs  []geom.Point
@@ -477,24 +485,26 @@ type Service struct {
 	moves       *engine.MoveStats
 	lastCost    core.Cost
 	lastClamped int
-	// last is the persisted outcome of the most recent executed step
-	// (LastStep re-serves it with live positions); nil before any step.
-	last *wire.LastStepState
+
+	// pipe is what the step loop submits to and resolves: the backend
+	// itself when it is pipelined, else the lockstep adapter around it.
+	// window is how many submissions the loop keeps unresolved.
+	pipe   PipelinedBackend
+	window int
 
 	// Hot-path pools and scratch: pendPool recycles Pending values (and
 	// their reply channels) across Enqueue/Release cycles, posPool recycles
-	// the ack position buffers across steps, and itemsBuf/mergedBuf are the
-	// step loop's private coalescing scratch (the loop is one goroutine, so
-	// they need no lock).
-	pendPool  sync.Pool
-	posPool   sync.Pool
-	itemsBuf  []batch
-	mergedBuf []geom.Point
+	// the ack position buffers across steps, and itemsBuf is the step
+	// loop's private coalescing scratch (the loop is one goroutine, so it
+	// needs no lock).
+	pendPool sync.Pool
+	posPool  sync.Pool
+	itemsBuf []batch
 
 	// ring is the ack ring (oldest first, newest last, capped at
-	// Options.AckRing): the suffix-replay recovery state, guarded by mu
-	// like the rest of the step outcome. Entry position storage is
-	// recycled as the ring rotates.
+	// max(1, Options.AckRing)): the recovery state every welcome and
+	// checkpoint carries, guarded by mu like the rest of the step outcome.
+	// Entry position storage is recycled as the ring rotates.
 	ring []ringStep
 	// held, heldFree, and flightFree are step-loop private (like
 	// itemsBuf): the executed-but-unacknowledged steps awaiting a group
@@ -621,10 +631,17 @@ func start(cfg core.Config, opts Options, ck *wire.Checkpoint, open func(engine.
 		return nil, err
 	}
 	s.sess = sess
-	if opts.Window > 1 {
-		if _, ok := sess.(PipelinedBackend); !ok {
+	pb, ok := sess.(PipelinedBackend)
+	if !ok {
+		if opts.Window > 1 {
 			return nil, errors.New("protocol: Window > 1 requires a pipelined backend")
 		}
+		pb = &lockstep{Backend: sess}
+	}
+	s.pipe = pb
+	s.window = max(1, opts.Window)
+	if bw := pb.Window(); bw > 0 && bw < s.window {
+		s.window = bw
 	}
 	if opts.CheckpointPath != "" {
 		if dir, err := os.Open(filepath.Dir(opts.CheckpointPath)); err == nil {
@@ -690,27 +707,25 @@ func (s *Service) seedObservers(ck wire.Checkpoint) {
 		s.moves.TotalMove = mv.TotalMove
 		s.moves.CapHits = mv.CapHits
 	}
-	if ls := ck.LastStep; ls != nil {
-		last := *ls
-		s.last = &last
+	// Keep the newest ring entries this incarnation holds: a checkpoint
+	// written under a deeper ring still restores the suffix it can serve.
+	entries := ck.Ring
+	if extra := len(entries) - s.ringCap(); extra > 0 {
+		entries = entries[extra:]
 	}
-	if s.opts.AckRing > 1 && len(ck.Ring) > 0 {
-		// Keep the newest AckRing entries: a checkpoint written under a
-		// deeper ring than this incarnation runs with still restores the
-		// suffix this incarnation can serve.
-		entries := ck.Ring
-		if extra := len(entries) - s.opts.AckRing; extra > 0 {
-			entries = entries[extra:]
+	for _, r := range entries {
+		e := ringStep{st: r.LastStepState}
+		e.pos = make([]geom.Point, len(r.Positions))
+		for i, p := range r.Positions {
+			e.pos[i] = append(geom.Point(nil), p...)
 		}
-		for _, r := range entries {
-			e := ringStep{st: r.LastStepState}
-			e.pos = make([]geom.Point, len(r.Positions))
-			for i, p := range r.Positions {
-				e.pos[i] = append(geom.Point(nil), p...)
-			}
-			s.ring = append(s.ring, e)
-		}
+		s.ring = append(s.ring, e)
 	}
+}
+
+// ringCap is the ack ring's depth: Options.AckRing, at least 1.
+func (s *Service) ringCap() int {
+	return max(1, s.opts.AckRing)
 }
 
 // Config returns the configuration the service was opened with.
@@ -860,42 +875,19 @@ func (s *Service) State() StateSnapshot {
 	return st
 }
 
-// LastStep returns the outcome of the most recent executed step with the
-// post-step positions, or nil before any step has run (and on services
-// resumed from checkpoints that predate the persisted field). Streaming
-// transports re-serve it inside the welcome frame so a reconnecting
-// pipeliner can recover a lost ack without resending the batch.
-func (s *Service) LastStep() *LastStep {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.last == nil {
-		return nil
-	}
-	return &LastStep{
-		T:         s.last.T,
-		Batched:   s.last.Batched,
-		Cost:      core.Cost{Move: s.last.MoveCost, Serve: s.last.ServeCost},
-		Clamped:   s.last.Clamped,
-		Positions: s.sess.Positions(),
-	}
-}
-
 // MaxWindow reports how many pipelined step frames the service can
-// reconcile for a reconnecting client: the ack-ring depth, or 1 (lockstep)
-// without a ring. The streaming transport caps the window it grants in the
-// welcome at this value.
-func (s *Service) MaxWindow() int {
-	if s.opts.AckRing > 1 {
-		return s.opts.AckRing
-	}
-	return 1
-}
+// reconcile for a reconnecting client: the ack-ring depth, which is 1
+// (lockstep) unless Options.AckRing is larger. The streaming transport
+// caps the window it grants in the welcome at this value.
+func (s *Service) MaxWindow() int { return s.ringCap() }
 
 // RecentSteps returns the ack ring — the outcomes of the most recent
-// executed steps, oldest first and ending with the newest — with
-// deep-copied positions, or nil when the service keeps no ring. Streaming
-// transports re-serve it inside the welcome frame (WelcomeFrame.Ring) so a
-// pipelined client can reconcile every in-flight frame after a reconnect.
+// executed steps (up to max(1, Options.AckRing)), oldest first and ending
+// with the newest — with deep-copied positions, or nil before any step has
+// run (and on services resumed from a bare snapshot). Streaming transports
+// re-serve it inside the welcome frame (WelcomeFrame.Ring) so a
+// reconnecting client can reconcile every in-flight frame, recovering a
+// lost ack instead of resending its batch.
 func (s *Service) RecentSteps() []LastStep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -962,80 +954,80 @@ func (s *Service) Finish() *engine.Result {
 }
 
 // loop is the single goroutine that steps the session: it pulls the first
-// queued batch, coalesces what arrives within the window, executes one
-// engine step, checkpoints, and acknowledges the merged callers. With
-// group commit, executed steps accumulate unacknowledged until the group
-// is due; with a pipelined window, the loop hands off to loopWindowed.
+// queued batch, coalesces what arrives within the window into one step,
+// and submits it. It keeps submitting while the queue has work and the
+// pipeline window has room, and resolves the oldest step when the window
+// is full or the queue goes idle — so pipelining never adds latency to a
+// sparse stream, and a dense stream overlaps each step's round trip with
+// the submission of the next. A synchronous backend runs through the
+// lockstep adapter with a window of 1, so every step is resolved right
+// after its submission. With group commit, resolved steps accumulate
+// unacknowledged until the group is due.
 func (s *Service) loop() {
 	defer s.closeSubs()
 	defer close(s.loopDone)
 	if s.ckptDir != nil {
 		defer s.ckptDir.Close()
 	}
-	if s.opts.Window > 1 {
-		s.loopWindowed(s.sess.(PipelinedBackend))
-		return
-	}
-	for {
-		select {
-		case <-s.closed:
-			s.drain()
-			return
-		case first := <-s.queue:
-			s.execute(s.coalesce(first))
-			if len(s.held) > 0 && (len(s.held) >= s.opts.CommitEvery || len(s.queue) == 0) {
-				s.commitHeld()
-			}
-		}
-	}
-}
-
-// loopWindowed drives a PipelinedBackend with up to w backend steps in
-// flight: it submits whenever the queue has work and the window has room,
-// and resolves the oldest flight when the window is full or the queue goes
-// idle — so pipelining never adds latency to a sparse stream, and a dense
-// stream overlaps each step's round trip with the submission of the next.
-func (s *Service) loopWindowed(pb PipelinedBackend) {
-	w := s.opts.Window
-	if bw := pb.Window(); bw > 0 && bw < w {
-		w = bw
-	}
 	var flights []flight
 	for {
-		if len(flights) >= w {
-			flights = s.resolveOldest(pb, flights)
-			continue
-		}
 		if len(flights) == 0 {
 			select {
 			case <-s.closed:
 				s.drain()
 				return
 			case first := <-s.queue:
-				flights = s.submitFlight(pb, flights, s.coalesce(first))
+				flights = s.submit(flights, s.window, s.coalesce(first))
 			}
-			continue
+		} else {
+			select {
+			case first := <-s.queue:
+				flights = s.submit(flights, s.window, s.coalesce(first))
+			case <-s.closed:
+				for len(flights) > 0 {
+					flights = s.resolveOldest(flights)
+				}
+				s.drain()
+				return
+			default:
+				flights = s.resolveOldest(flights)
+			}
 		}
-		select {
-		case first := <-s.queue:
-			flights = s.submitFlight(pb, flights, s.coalesce(first))
-		case <-s.closed:
-			for len(flights) > 0 {
-				flights = s.resolveOldest(pb, flights)
-			}
-			s.drain()
-			return
-		default:
-			flights = s.resolveOldest(pb, flights)
+		if len(s.held) > 0 && (len(s.held) >= s.opts.CommitEvery || len(s.queue) == 0) {
+			s.commitHeld()
 		}
 	}
 }
 
-// submitFlight copies the coalesced items out of the loop scratch into a
-// (recycled) flight, submits its merged batch to the backend without
-// waiting, and appends it to the in-flight list. A refused submission
-// replies immediately — the step never started.
-func (s *Service) submitFlight(pb PipelinedBackend, flights []flight, items []batch) []flight {
+// lockstep adapts a synchronous Backend to the loop's pipelined surface
+// with a window of 1: StepAsync only keeps the batch and ResolveOldest
+// runs Step on it, so each step and its bookkeeping happen under one hold
+// of the service lock — a reader never sees T advanced before the step's
+// ring entry exists.
+type lockstep struct {
+	Backend
+	reqs []geom.Point
+}
+
+func (l *lockstep) StepAsync(reqs []geom.Point) error {
+	l.reqs = reqs
+	return nil
+}
+
+func (l *lockstep) ResolveOldest() error {
+	reqs := l.reqs
+	l.reqs = nil
+	return l.Step(reqs)
+}
+
+func (l *lockstep) Window() int { return 1 }
+
+// submit copies the coalesced items out of the loop scratch into a
+// (recycled) flight, submits its merged batch without waiting, and
+// appends it to the in-flight list. A refused submission replies at once —
+// the step never started. When the submission fills a window of w, the
+// oldest flight is resolved under the same hold of the lock.
+func (s *Service) submit(flights []flight, w int, items []batch) []flight {
 	var f flight
 	if n := len(s.flightFree); n > 0 {
 		f = s.flightFree[n-1]
@@ -1049,27 +1041,37 @@ func (s *Service) submitFlight(pb PipelinedBackend, flights []flight, items []ba
 		f.total += len(b.reqs)
 	}
 	s.mu.Lock()
-	err := pb.StepAsync(f.reqs)
-	s.mu.Unlock()
-	if err != nil {
+	if err := s.pipe.StepAsync(f.reqs); err != nil {
+		s.mu.Unlock()
 		for _, b := range f.items {
 			b.reply <- outcome{err: err}
 		}
 		s.flightFree = append(s.flightFree, f)
 		return flights
 	}
-	return append(flights, f)
+	flights = append(flights, f)
+	if len(flights) < w {
+		s.mu.Unlock()
+		return flights
+	}
+	return s.resolveOldestLocked(flights)
 }
 
-// resolveOldest blocks for the oldest in-flight step's outcome and
-// finishes it exactly like a synchronous step: ack, ring, checkpoint if
-// due, replies, Watch event.
-func (s *Service) resolveOldest(pb PipelinedBackend, flights []flight) []flight {
+// resolveOldest resolves the oldest in-flight step; see
+// resolveOldestLocked.
+func (s *Service) resolveOldest(flights []flight) []flight {
+	s.mu.Lock()
+	return s.resolveOldestLocked(flights)
+}
+
+// resolveOldestLocked blocks for the oldest in-flight step's outcome and
+// finishes it: ack, ring, checkpoint if due, replies, Watch event. Called
+// with mu held; releases it.
+func (s *Service) resolveOldestLocked(flights []flight) []flight {
 	f := flights[0]
 	copy(flights, flights[1:])
 	flights = flights[:len(flights)-1]
-	s.mu.Lock()
-	err := pb.ResolveOldest()
+	err := s.pipe.ResolveOldest()
 	s.finishStepLocked(f.items, f.total, err)
 	s.flightFree = append(s.flightFree, f)
 	return flights
@@ -1107,10 +1109,11 @@ func (s *Service) coalesce(first batch) []batch {
 	}
 }
 
-// drain executes every batch still queued at shutdown (one step each, no
-// coalescing wait) and writes the final checkpoint. An aborting service
-// (Abort) instead refuses the queued batches and skips the write — it must
-// not touch a checkpoint file that may no longer be its own.
+// drain executes every batch still queued at shutdown (one step each,
+// resolved before the next, no coalescing wait) and writes the final
+// checkpoint. An aborting service (Abort) instead refuses the queued
+// batches and skips the write — it must not touch a checkpoint file that
+// may no longer be its own.
 func (s *Service) drain() {
 	for {
 		select {
@@ -1119,7 +1122,7 @@ func (s *Service) drain() {
 				b.reply <- outcome{err: ErrShuttingDown}
 				continue
 			}
-			s.execute([]batch{b})
+			s.submit(nil, 1, []batch{b})
 			if len(s.held) >= s.opts.CommitEvery {
 				s.commitHeld()
 			}
@@ -1194,37 +1197,14 @@ func (s *Service) abortHeld() {
 	s.held = s.held[:0]
 }
 
-// execute merges the items into one request batch, runs one engine step,
-// checkpoints if due, replies to every merged caller, and publishes a
-// MetricsEvent to the Watch subscribers. A due checkpoint is written
-// before the acknowledgements, so with CheckpointEvery == 1 an
+// finishStepLocked is everything that follows a backend step's resolve.
+// It builds the ack and Watch event, pushes the step onto the ack ring,
+// and either releases the step immediately (checkpointing first when due)
+// or appends it to the held group for a later commit. A due checkpoint is
+// written before the acknowledgements, so with CheckpointEvery == 1 an
 // acknowledged step is never lost to a crash (larger cadences acknowledge
-// the steps between checkpoints before they are durable).
-func (s *Service) execute(items []batch) {
-	total := 0
-	for _, b := range items {
-		total += len(b.reqs)
-	}
-	// The merged batch lives in loop-owned scratch: the backend (and its
-	// observers) must not retain it past the Step call, which lets the
-	// transports reuse the request buffers once their ack arrives.
-	merged := s.mergedBuf[:0]
-	for _, b := range items {
-		merged = append(merged, b.reqs...)
-	}
-	s.mergedBuf = merged
-
-	s.mu.Lock()
-	err := s.sess.Step(merged)
-	s.finishStepLocked(items, total, err)
-}
-
-// finishStepLocked is everything that follows a backend step — shared by
-// the synchronous path (execute) and the pipelined path (resolveOldest).
-// It builds the ack and Watch event, updates the last-step record and the
-// ack ring, and either releases the step immediately (checkpointing first
-// when due) or appends it to the held group for a later commit. Called
-// with mu held; releases it.
+// the steps between checkpoints before they are durable). Called with mu
+// held; releases it.
 func (s *Service) finishStepLocked(items []batch, total int, err error) {
 	var ack Ack
 	var ev MetricsEvent
@@ -1252,17 +1232,13 @@ func (s *Service) finishStepLocked(items []batch, total int, err error) {
 		} else {
 			ack.Positions = s.sess.Positions()
 		}
-		if s.last == nil {
-			s.last = &wire.LastStepState{}
-		}
-		*s.last = wire.LastStepState{
+		s.pushRingLocked(wire.LastStepState{
 			T:         ack.T,
 			Batched:   total,
 			MoveCost:  s.lastCost.Move,
 			ServeCost: s.lastCost.Serve,
 			Clamped:   s.lastClamped,
-		}
-		s.pushRingLocked(ack.Positions)
+		}, ack.Positions)
 		ev = MetricsEvent{
 			T:           ack.T,
 			Batched:     total,
@@ -1321,21 +1297,18 @@ func (s *Service) finishStepLocked(items []batch, total int, err error) {
 	}
 }
 
-// pushRingLocked appends the just-executed step's outcome (s.last) and a
-// deep copy of its positions to the ack ring, rotating the oldest entry
-// out — and recycling its position storage — once the ring is at capacity.
-// The caller must hold mu.
-func (s *Service) pushRingLocked(pts []geom.Point) {
-	if s.opts.AckRing <= 1 {
-		return
-	}
+// pushRingLocked appends the just-executed step's outcome and a deep copy
+// of its positions to the ack ring, rotating the oldest entry out — and
+// recycling its position storage — once the ring is at capacity. The
+// caller must hold mu.
+func (s *Service) pushRingLocked(st wire.LastStepState, pts []geom.Point) {
 	var e ringStep
-	if len(s.ring) >= s.opts.AckRing {
+	if len(s.ring) >= s.ringCap() {
 		e = s.ring[0]
 		copy(s.ring, s.ring[1:])
 		s.ring = s.ring[:len(s.ring)-1]
 	}
-	e.st = *s.last
+	e.st = st
 	if cap(e.pos) < len(pts) {
 		e.pos = append(e.pos[:cap(e.pos)], make([]geom.Point, len(pts)-cap(e.pos))...)
 	}
@@ -1366,9 +1339,9 @@ func (s *Service) checkpointNow() error {
 }
 
 // checkpointDoc marshals the checkpoint document: the backend snapshot
-// plus the current observer state, captured together so the file is one
-// consistent cut of the run, stamped with the wire version (plus the
-// legacy stamp, so pre-envelope readers keep working). The encoding reuses
+// plus the current observer state and the ack ring, captured together so
+// the file is one consistent cut of the run, stamped with the wire
+// version. The encoding reuses
 // the service's checkpoint buffer, so the returned bytes are valid only
 // until the next checkpointDoc call — write them before re-marshaling.
 // The caller must hold mu (the step loop is the only caller, which is what
@@ -1380,7 +1353,6 @@ func (s *Service) checkpointDoc() ([]byte, error) {
 	}
 	doc := wire.Checkpoint{
 		V:       wire.V1,
-		Version: wire.CheckpointVersion,
 		Session: sess,
 		Metrics: &wire.MetricsState{
 			Steps:       s.metrics.Steps,
@@ -1395,7 +1367,6 @@ func (s *Service) checkpointDoc() ([]byte, error) {
 			TotalMove: s.moves.TotalMove,
 			CapHits:   s.moves.CapHits,
 		},
-		LastStep: s.last,
 	}
 	if len(s.ring) > 0 {
 		doc.Ring = make([]wire.RingStep, len(s.ring))

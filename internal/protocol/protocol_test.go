@@ -240,8 +240,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.V != wire.V1 || ck.Version != wire.CheckpointVersion {
-		t.Fatalf("checkpoint stamps = v%d/version%d, want v%d/version%d", ck.V, ck.Version, wire.V1, wire.CheckpointVersion)
+	if ck.V != wire.V1 {
+		t.Fatalf("checkpoint stamp = v%d, want v%d", ck.V, wire.V1)
+	}
+	if len(ck.Ring) != 1 || ck.Ring[0].T != 9 || ck.Ring[0].Batched != 2 {
+		t.Fatalf("lockstep checkpoint ring = %+v, want step 9 alone", ck.Ring)
 	}
 
 	r, err := Resume(cfg, multi.NewMtCK(), data, Options{})

@@ -107,11 +107,9 @@ func TestResumeLegacyBareSnapshot(t *testing.T) {
 	}
 }
 
-// TestResumeLegacyCheckpointDocument pins the checkpoint compatibility
-// guarantee across the envelope change: a checkpoint document written by
-// the pre-envelope format (a "version" stamp, no "v") still resumes with
-// its observer state intact, and the file the resumed server then writes
-// carries both stamps.
+// TestResumeLegacyCheckpointDocument: a checkpoint document written by
+// the pre-envelope format (a "version" stamp, no "v") is refused rather
+// than resumed, and the refusal leaves the file untouched.
 func TestResumeLegacyCheckpointDocument(t *testing.T) {
 	cfg := testConfig(2)
 	ckpt := filepath.Join(t.TempDir(), "legacy.ckpt")
@@ -123,7 +121,7 @@ func TestResumeLegacyCheckpointDocument(t *testing.T) {
 	driveSequential(t, tsA.URL, 0, 12)
 	tsA.Close() // killed
 
-	// Rewrite the file exactly as PR-3 would have: same document, no "v".
+	// Rewrite the file as the pre-envelope format did: "version", no "v".
 	data, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -135,35 +133,29 @@ func TestResumeLegacyCheckpointDocument(t *testing.T) {
 	if _, ok := doc["v"]; !ok {
 		t.Fatal("new checkpoints must carry the v stamp")
 	}
+	if _, ok := doc["version"]; ok {
+		t.Fatal("new checkpoints must not carry the pre-envelope version stamp")
+	}
 	delete(doc, "v")
+	doc["version"] = json.RawMessage(`1`)
 	legacy, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := os.WriteFile(ckpt, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	b, err := Resume(cfg, multi.NewMtCK(), legacy, Options{CheckpointPath: ckpt})
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
+	if b, err := Resume(cfg, multi.NewMtCK(), legacy, Options{CheckpointPath: ckpt}); err == nil {
+		b.Close()
+		t.Fatal("a pre-envelope checkpoint must be refused, not resumed")
 	}
-	defer b.Close()
-	tsB := httptest.NewServer(b.Handler())
-	defer tsB.Close()
-	var m wire.MetricsResponse
-	getJSON(t, tsB.URL+"/metrics", &m)
-	if m.Steps != 12 || m.Requests != 24 {
-		t.Fatalf("legacy resume lost observer state: %+v", m)
-	}
-	driveSequential(t, tsB.URL, 12, 13)
-	data, err = os.ReadFile(ckpt)
+	after, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := wire.ParseCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.V != wire.V1 || ck.Version != wire.CheckpointVersion {
-		t.Fatalf("rewritten checkpoint stamps = v%d/version%d", ck.V, ck.Version)
+	if !bytes.Equal(after, legacy) {
+		t.Fatal("a refused resume rewrote the checkpoint file")
 	}
 }
 

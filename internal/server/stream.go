@@ -28,8 +28,9 @@
 //
 // After a disconnect, steps whose acks were in flight may have executed:
 // reconnect and compare the welcome's t with the last acked step — every
-// step below t was executed exactly once, so resume from the first
-// unacked batch beyond it.
+// step below t was executed exactly once, and the welcome's ring carries
+// the exact outcomes of the newest of them — so recover those acks from
+// the ring and resume from the first unexecuted batch.
 //
 // Ingestion is an explicit producer/decoder/consumer pipeline. The reader
 // goroutine produces and decodes frames into pooled request buffers and
@@ -228,39 +229,24 @@ func (c *srvStream) handshake() bool {
 	if c.binary {
 		welcome.Wire = wire.WireBinary
 	}
-	// Re-serve the last executed step's outcome, so a reconnecting
-	// pipeliner whose final ack was lost in flight recovers it instead of
-	// resending the batch (which would double-feed the session).
-	if ls := s.svc.LastStep(); ls != nil {
-		welcome.Last = &wire.LastStep{
+	// Grant a pipelined window capped at what the service can actually
+	// reconcile (its ack-ring depth, 1 in lockstep).
+	if hello.Window > 1 {
+		if grant := min(hello.Window, s.svc.MaxWindow()); grant > 1 {
+			welcome.Window = grant
+		}
+	}
+	// Re-serve the ack ring, so a reconnecting client whose acks were lost
+	// in flight recovers every executed step instead of resending its
+	// batch (which would double-feed the session).
+	for _, ls := range s.svc.RecentSteps() {
+		welcome.Ring = append(welcome.Ring, wire.LastStep{
 			T:         ls.T,
 			Batched:   ls.Batched,
 			Cost:      wire.FromCost(ls.Cost),
 			Clamped:   ls.Clamped,
 			Positions: wire.FromPoints(ls.Positions),
-		}
-	}
-	// Grant a pipelined window capped at what the service can actually
-	// reconcile (its ack-ring depth; 1 without a ring), and re-serve the
-	// ring itself so a reconnecting pipeliner recovers every executed
-	// in-flight step, not just the newest.
-	if hello.Window > 1 {
-		grant := s.svc.MaxWindow()
-		if hello.Window < grant {
-			grant = hello.Window
-		}
-		if grant > 1 {
-			welcome.Window = grant
-			for _, ls := range s.svc.RecentSteps() {
-				welcome.Ring = append(welcome.Ring, wire.LastStep{
-					T:         ls.T,
-					Batched:   ls.Batched,
-					Cost:      wire.FromCost(ls.Cost),
-					Clamped:   ls.Clamped,
-					Positions: wire.FromPoints(ls.Positions),
-				})
-			}
-		}
+		})
 	}
 	return c.writeHandshakeFrame(welcome) == nil
 }
@@ -271,7 +257,9 @@ func (c *srvStream) handshake() bool {
 // step, a pong, or an error. Enqueue waits while the service queue is
 // full, so a backlog pauses the reader instead of refusing or reordering
 // frames. It returns on bye, on a fatal protocol violation, when the
-// service shuts down, or when the connection dies.
+// service shuts down (a ping after Close is answered with a connection-level
+// shutting_down error, so a heartbeating client learns it is done), or when
+// the connection dies.
 func (c *srvStream) readLoop(replies chan<- replyItem) {
 	for {
 		buf := stepBufPool.Get().(*stepBuf)
@@ -286,6 +274,10 @@ func (c *srvStream) readLoop(replies chan<- replyItem) {
 			return
 		case readPing:
 			stepBufPool.Put(buf)
+			if c.srv.svc.Closing() {
+				replies <- replyItem{frame: fatalError(wire.CodeShuttingDown, protocol.ErrShuttingDown.Error())}
+				return
+			}
 			// The pong rides the ordered reply queue behind any pending
 			// acks, so receiving it proves the whole pipeline — reader,
 			// step loop, writer — is alive, not just the TCP connection.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -353,6 +354,52 @@ func TestStreamCloseWhileReaderWaits(t *testing.T) {
 	}
 	if m := s.Service().Metrics(); m.Steps != 2 || m.Requests != 2 || m.Rejected != 0 {
 		t.Fatalf("metrics = %+v, want only the two acked frames counted", m)
+	}
+}
+
+// TestStreamEndsAfterClose: closing a service (without Finish) ends the
+// streams that stay connected to it. The first ping after Close is
+// answered with a connection-level shutting_down error instead of a pong,
+// so a heartbeating client learns the server is gone rather than probing
+// it forever.
+func TestStreamEndsAfterClose(t *testing.T) {
+	cfg := testConfig(1)
+	s, err := New(cfg, []geom.Point{geom.NewPoint(0, 0)}, core.Fleet(core.NewMtC()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A heartbeat timeout far beyond the test's wait: only the server can
+	// end this connection.
+	c, err := streamclient.Dial(ts.Listener.Addr().String(), "/stream", streamclient.Options{
+		Dim: 2, HeartbeatEvery: 5 * time.Millisecond, HeartbeatTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.Step(reqsFor(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	p.Release()
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("a heartbeating stream stayed open 10s after its service closed")
+	}
+	var we *wire.Error
+	if !errors.As(c.Err(), &we) || we.Code != wire.CodeShuttingDown {
+		t.Fatalf("stream ended with %v, want a shutting_down error", c.Err())
 	}
 }
 

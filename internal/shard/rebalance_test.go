@@ -414,9 +414,10 @@ func TestRestoreRejectsBadLayout(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRestoresUniformLayout: documents written before dynamic
-// rebalancing carry no fleet-size list; they restore uniform at Config.K.
-func TestLegacySnapshotRestoresUniformLayout(t *testing.T) {
+// TestRestoreRefusesSnapshotWithoutLayout: documents written before
+// dynamic rebalancing carry no fleet-size list; Restore refuses them
+// instead of guessing a uniform layout.
+func TestRestoreRefusesSnapshotWithoutLayout(t *testing.T) {
 	cfg := shardedConfig(3, 2)
 	r, err := New(cfg, Starts(cfg, 5), newMtCK, engine.Options{})
 	if err != nil {
@@ -433,12 +434,8 @@ func TestLegacySnapshotRestoresUniformLayout(t *testing.T) {
 	if bytes.Equal(legacy, ck) {
 		t.Fatalf("snapshot does not carry the expected layout field:\n%s", ck)
 	}
-	resumed, err := Restore(cfg, newMtCK, legacy, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Ks(); !reflect.DeepEqual(got, []int{2, 2, 2}) {
-		t.Fatalf("legacy restore layout = %v, want uniform [2 2 2]", got)
+	if _, err := Restore(cfg, newMtCK, legacy, engine.Options{}); err == nil {
+		t.Fatal("a snapshot without its fleet layout must be refused")
 	}
 }
 

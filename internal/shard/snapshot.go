@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/wire"
 )
 
 // SnapshotVersion is the combined-snapshot format version written by
@@ -26,10 +27,8 @@ type snapshot struct {
 	Steps    int         `json:"steps"`
 	Requests []int       `json:"requests"`
 	// Ks is the live fleet layout: how many servers each shard owned when
-	// the snapshot was taken (rebalancing migrations change it). Absent in
-	// documents written before dynamic rebalancing, which were always
-	// uniform at Config.K servers per shard.
-	Ks []int `json:"ks,omitempty"`
+	// the snapshot was taken (rebalancing migrations change it).
+	Ks []int `json:"ks"`
 	// Rebalances counts the migrations applied before the snapshot, so a
 	// resumed run's counter continues instead of restarting.
 	Rebalances int               `json:"rebalances,omitempty"`
@@ -78,15 +77,14 @@ func (r *Router) Snapshot() ([]byte, error) {
 // count, or base configuration) disagrees is rejected as a whole rather
 // than restoring a subset of shards against the wrong regions. The live
 // per-shard fleet sizes come from the document itself, so a layout changed
-// by rebalancing migrations resumes exactly as it stood (legacy documents
-// without the layout restore uniform at Config.K). Each shard session is
+// by rebalancing migrations resumes exactly as it stood; a document
+// without the layout is refused. Each shard session is
 // restored through engine.Restore, so positions, costs, step counters, and
 // algorithm state continue exactly; observers in opts see only the steps
 // fed after the restore.
 func Restore(cfg core.Config, newAlg func() core.FleetAlgorithm, data []byte, opts engine.Options) (*Router, error) {
 	var snap snapshot
-	//moblint:rawdecode version-gated legacy snapshot compatibility: pre-layout documents restore at uniform Config.K
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if err := wire.UnmarshalStrict(data, &snap); err != nil {
 		return nil, fmt.Errorf("shard: bad snapshot: %w", err)
 	}
 	if snap.Version != SnapshotVersion {
@@ -116,13 +114,6 @@ func Restore(cfg core.Config, newAlg func() core.FleetAlgorithm, data []byte, op
 		return nil, errors.New("shard: snapshot has a negative step counter")
 	}
 	ks := snap.Ks
-	if ks == nil {
-		// Legacy document: the layout was always uniform.
-		ks = make([]int, n)
-		for i := range ks {
-			ks[i] = cfg.Servers()
-		}
-	}
 	if len(ks) != n {
 		return nil, fmt.Errorf("shard: snapshot has %d fleet sizes for %d shards", len(ks), n)
 	}

@@ -75,8 +75,8 @@ type Options struct {
 	// Window, when > 1, asks the server to accept that many pipelined step
 	// frames in flight with suffix-replay reconciliation after a reconnect
 	// (WelcomeFrame.Ring). The grant is whatever Welcome().Window reports —
-	// possibly smaller, or absent (lockstep) from a server that keeps no
-	// ack ring. A server so old it strict-rejects the unknown hello field
+	// possibly smaller, or absent (lockstep) from a server whose ack ring
+	// is one step deep. A server so old it strict-rejects the unknown hello field
 	// gets the same transparent downgrade as the wire negotiation: Dial
 	// re-sends the hello without the field and runs lockstep.
 	Window int
@@ -382,8 +382,8 @@ func dialOnce(host, path string, opts Options, askWire string, askWindow int) (*
 // Welcome returns the handshake's welcome frame: the algorithm, the
 // session's current step count (the reconciliation anchor after a
 // reconnect), the dimension, the confirmed frame encoding, and — when the
-// session has executed any step — the last executed step's exact outcome
-// (Last).
+// session has executed any step — the exact outcomes of its newest
+// executed steps (Ring).
 func (c *Client) Welcome() wire.WelcomeFrame { return c.welcome }
 
 // Wire reports the negotiated frame encoding: wire.WireBinary or

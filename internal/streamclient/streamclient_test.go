@@ -320,9 +320,9 @@ func TestJitterBounds(t *testing.T) {
 	}
 }
 
-// TestWelcomeCarriesRecovery: after steps execute, a fresh connection's
-// welcome carries the last executed step's recovery payload — the anchor
-// cluster failover reconciles against.
+// TestWelcomeCarriesRecovery: after steps execute, a fresh lockstep
+// connection's welcome carries a one-entry ring holding the last executed
+// step's outcome — the anchor cluster failover reconciles against.
 func TestWelcomeCarriesRecovery(t *testing.T) {
 	ts := testServer(t)
 	c, err := Dial(ts.Listener.Addr().String(), "/stream", Options{Dim: 2})
@@ -345,14 +345,15 @@ func TestWelcomeCarriesRecovery(t *testing.T) {
 	}
 	defer c2.Close()
 	w := c2.Welcome()
-	if w.T != 1 || w.Last == nil {
-		t.Fatalf("welcome after one step = %+v", w)
+	if w.T != 1 || len(w.Ring) != 1 || w.Window != 0 {
+		t.Fatalf("welcome after one step = %+v, want a lockstep grant and a one-entry ring", w)
 	}
-	if w.Last.T != 0 || w.Last.Batched != 2 || w.Last.Cost != ack.Cost {
-		t.Fatalf("welcome recovery payload = %+v, want step 0 ack %+v", w.Last, ack)
+	last := w.Ring[0]
+	if last.T != 0 || last.Batched != 2 || last.Cost != ack.Cost || last.Clamped != ack.Clamped {
+		t.Fatalf("welcome recovery payload = %+v, want step 0 ack %+v", last, ack)
 	}
-	if len(w.Last.Positions) != 1 || !reflect.DeepEqual(w.Last.Positions, ack.Positions) {
-		t.Fatalf("recovery positions = %v, want %v", w.Last.Positions, ack.Positions)
+	if len(last.Positions) != 1 || !reflect.DeepEqual(last.Positions, ack.Positions) {
+		t.Fatalf("recovery positions = %v, want %v", last.Positions, ack.Positions)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // one JSON object per line:
 //
 //	frame   := tag uvarint(len(payload)) payload
-//	tag     := one byte, BinHello..BinPong
+//	tag     := one byte, BinStep..BinPong
 //	payload := the frame's fields in a fixed order (see the per-frame
 //	           Append*/Decode* pairs below)
 //
@@ -47,46 +47,22 @@ const (
 	WireBinary = "binary"
 )
 
-// Binary frame tags, one per frame type of the NDJSON grammar. Tag 0x05
-// is unassigned: no frame uses it, and both peers reject it as an
-// unexpected frame.
+// Binary frame tags, one per frame type that may follow the handshake.
+// Tags 0x01, 0x02 and 0x05 are unassigned: the handshake (hello, welcome)
+// is always NDJSON and no frame uses 0x05, so both peers reject them as
+// unexpected frames.
 const (
-	BinHello   byte = 0x01
-	BinWelcome byte = 0x02
-	BinStep    byte = 0x03
-	BinAck     byte = 0x04
-	BinError   byte = 0x06
-	BinBye     byte = 0x07
-	BinPing    byte = 0x08
-	BinPong    byte = 0x09
+	BinStep  byte = 0x03
+	BinAck   byte = 0x04
+	BinError byte = 0x06
+	BinBye   byte = 0x07
+	BinPing  byte = 0x08
+	BinPong  byte = 0x09
 )
 
 // DefaultMaxFrame is the payload bound the stream endpoints pass to
 // ReadBinaryFrame, matching the NDJSON path's maximum line length.
 const DefaultMaxFrame = 8 << 20
-
-// binTagName names a tag for error messages.
-func binTagName(tag byte) string {
-	switch tag {
-	case BinHello:
-		return FrameHello
-	case BinWelcome:
-		return FrameWelcome
-	case BinStep:
-		return FrameStep
-	case BinAck:
-		return FrameAck
-	case BinError:
-		return FrameError
-	case BinBye:
-		return FrameBye
-	case BinPing:
-		return FramePing
-	case BinPong:
-		return FramePong
-	}
-	return fmt.Sprintf("0x%02x", tag)
-}
 
 // WriteBinaryFrame writes one tag|length|payload frame. The caller owns
 // flushing. The length is emitted through WriteByte rather than a local
@@ -323,141 +299,6 @@ func (r *binReader) done() error {
 }
 
 // --- per-frame payloads ---
-
-// AppendHello appends the hello payload: v, dim, wire, window.
-func AppendHello(dst []byte, f *HelloFrame) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.V))
-	dst = binary.AppendUvarint(dst, uint64(f.Dim))
-	dst = appendString(dst, f.Wire)
-	return binary.AppendUvarint(dst, uint64(f.Window))
-}
-
-// DecodeHello decodes a hello payload.
-func DecodeHello(payload []byte, f *HelloFrame) error {
-	r := binReader{payload}
-	var err error
-	if f.V, err = r.count(); err != nil {
-		return err
-	}
-	f.Type = FrameHello
-	if f.Dim, err = r.count(); err != nil {
-		return err
-	}
-	if f.Wire, err = r.str(); err != nil {
-		return err
-	}
-	if f.Window, err = r.count(); err != nil {
-		return err
-	}
-	return r.done()
-}
-
-// appendLastStep appends one recovery payload: t, batched, cost, clamped,
-// positions.
-func appendLastStep(dst []byte, ls *LastStep) []byte {
-	dst = binary.AppendUvarint(dst, uint64(ls.T))
-	dst = binary.AppendUvarint(dst, uint64(ls.Batched))
-	dst = appendCost(dst, ls.Cost)
-	dst = binary.AppendUvarint(dst, uint64(ls.Clamped))
-	return appendPoints(dst, ls.Positions)
-}
-
-// AppendWelcome appends the welcome payload: v, algorithm, t, dim, wire,
-// the optional last-step recovery payload, the granted window, and the
-// suffix-replay ring.
-func AppendWelcome(dst []byte, f *WelcomeFrame) []byte {
-	dst = binary.AppendUvarint(dst, uint64(f.V))
-	dst = appendString(dst, f.Algorithm)
-	dst = binary.AppendUvarint(dst, uint64(f.T))
-	dst = binary.AppendUvarint(dst, uint64(f.Dim))
-	dst = appendString(dst, f.Wire)
-	dst = appendBool(dst, f.Last != nil)
-	if f.Last != nil {
-		dst = appendLastStep(dst, f.Last)
-	}
-	dst = binary.AppendUvarint(dst, uint64(f.Window))
-	dst = binary.AppendUvarint(dst, uint64(len(f.Ring)))
-	for i := range f.Ring {
-		dst = appendLastStep(dst, &f.Ring[i])
-	}
-	return dst
-}
-
-// DecodeWelcome decodes a welcome payload (allocates for the strings and
-// the optional last step; the handshake is not a hot path).
-func DecodeWelcome(payload []byte, f *WelcomeFrame) error {
-	r := binReader{payload}
-	var err error
-	if f.V, err = r.count(); err != nil {
-		return err
-	}
-	f.Type = FrameWelcome
-	if f.Algorithm, err = r.str(); err != nil {
-		return err
-	}
-	if f.T, err = r.count(); err != nil {
-		return err
-	}
-	if f.Dim, err = r.count(); err != nil {
-		return err
-	}
-	if f.Wire, err = r.str(); err != nil {
-		return err
-	}
-	hasLast, err := r.bool()
-	if err != nil {
-		return err
-	}
-	f.Last = nil
-	if hasLast {
-		last := &LastStep{}
-		if err := r.lastStep(last); err != nil {
-			return err
-		}
-		f.Last = last
-	}
-	if f.Window, err = r.count(); err != nil {
-		return err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	// Each encoded ring entry takes at least 28 bytes (two uvarints, a
-	// cost, a clamp count, and a point count).
-	if n > uint64(len(r.b))/28 {
-		return fmt.Errorf("wire: binary ring count %d exceeds payload", n)
-	}
-	f.Ring = nil
-	if n > 0 {
-		f.Ring = make([]LastStep, n)
-		for i := range f.Ring {
-			if err := r.lastStep(&f.Ring[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return r.done()
-}
-
-// lastStep decodes one recovery payload in appendLastStep's order.
-func (r *binReader) lastStep(ls *LastStep) error {
-	var err error
-	if ls.T, err = r.count(); err != nil {
-		return err
-	}
-	if ls.Batched, err = r.count(); err != nil {
-		return err
-	}
-	if ls.Cost, err = r.cost(); err != nil {
-		return err
-	}
-	if ls.Clamped, err = r.count(); err != nil {
-		return err
-	}
-	ls.Positions, err = r.points(nil)
-	return err
-}
 
 // AppendStep appends the step payload: v, id, requests.
 func AppendStep(dst []byte, f *StepFrame) []byte {

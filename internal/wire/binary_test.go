@@ -25,14 +25,6 @@ func binFrames() []struct {
 	encode func(dst []byte) []byte
 	decode func(payload []byte) (any, error)
 } {
-	hello := HelloFrame{V: V1, Type: FrameHello, Dim: 3, Wire: WireBinary}
-	welcome := WelcomeFrame{
-		V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 41, Dim: 2, Wire: WireBinary,
-		Last: &LastStep{
-			T: 40, Batched: 3, Cost: Cost{Move: 1.25, Serve: math.Pi, Total: 1.25 + math.Pi},
-			Clamped: 1, Positions: []Point{{0.5, -2}, {1e-300, 7}},
-		},
-	}
 	step := StepFrame{V: V1, Type: FrameStep, ID: 7, Requests: []Point{{3, 4}, {5, 6}, {-0.0, math.MaxFloat64}}}
 	ack := AckFrame{
 		V: V1, Type: FrameAck, ID: -9, StepResponse: StepResponse{
@@ -57,12 +49,6 @@ func binFrames() []struct {
 		encode func(dst []byte) []byte
 		decode func(payload []byte) (any, error)
 	}{
-		{"hello", BinHello, hello,
-			func(dst []byte) []byte { f := hello; return AppendHello(dst, &f) },
-			func(p []byte) (any, error) { var f HelloFrame; err := DecodeHello(p, &f); return f, err }},
-		{"welcome", BinWelcome, welcome,
-			func(dst []byte) []byte { f := welcome; return AppendWelcome(dst, &f) },
-			func(p []byte) (any, error) { var f WelcomeFrame; err := DecodeWelcome(p, &f); return f, err }},
 		{"step", BinStep, step,
 			func(dst []byte) []byte { f := step; return AppendStep(dst, &f) },
 			func(p []byte) (any, error) { var f StepFrame; err := DecodeStep(p, &f); return f, err }},

@@ -5,13 +5,6 @@ import (
 	"fmt"
 )
 
-// CheckpointVersion is the legacy format stamp of the server checkpoint
-// document: files written before the envelope carried it in a "version"
-// field. New files carry the wire version in "v" (like every other wire
-// document) and keep "version" populated so older readers still accept
-// them; ParseCheckpoint decodes both generations.
-const CheckpointVersion = 1
-
 // Checkpoint is the document the serving layer writes to its checkpoint
 // file: the resumable session snapshot (an engine.Session snapshot, or a
 // shard.Router combined snapshot in router mode) plus the state of the
@@ -19,50 +12,36 @@ const CheckpointVersion = 1
 // instead of starting from zero. The session document is embedded
 // verbatim — its byte-exactness guarantees are untouched by the wrapper.
 type Checkpoint struct {
-	// V is the wire-format version stamp (V1). Zero in files written by
-	// the pre-envelope format, which stamped Version instead;
-	// ParseCheckpoint normalizes such legacy files to V = V1.
-	V int `json:"v,omitempty"`
-	// Version is the legacy stamp, kept populated on write so checkpoint
-	// files remain readable by pre-envelope binaries.
-	Version int `json:"version,omitempty"`
+	// V is the wire-format version stamp (V1).
+	V int `json:"v"`
 	// Session is the engine or router snapshot to resume from.
 	Session json.RawMessage `json:"session"`
 	// Metrics carries the engine.Metrics observer state at checkpoint
-	// time; nil in checkpoints written before observers were persisted.
+	// time; nil when the checkpoint was read from a bare snapshot.
 	Metrics *MetricsState `json:"metrics,omitempty"`
 	// Moves carries the engine.MoveStats observer state.
 	Moves *MoveState `json:"moves,omitempty"`
-	// LastStep carries the outcome of the final step executed before the
-	// checkpoint was taken; nil in files written before the field existed
-	// (or before any step ran). A resumed service re-arms its welcome
-	// recovery payload (WelcomeFrame.Last) from it, so a coordinator
+	// Ring carries the outcomes of the most recent executed steps (the
+	// service's ack ring: one entry in lockstep, up to the pipelined
+	// window otherwise), oldest first and ending with the final step
+	// executed before the checkpoint was taken; nil before any step ran.
+	// A resumed service re-serves it in its welcomes, so a client
 	// reconnecting after the process died between checkpoint and ack can
-	// still recover the executed step's exact outcome.
-	LastStep *LastStepState `json:"last_step,omitempty"`
-	// Ring carries the outcomes of the most recent executed steps, oldest
-	// first and ending with the step LastStep describes, when the service
-	// runs with an ack ring deeper than one (pipelined ingestion). Unlike
-	// LastStep, ring entries keep their own post-step positions: the
-	// session snapshot only holds the newest fleet, and a suffix-replay
-	// recovery needs each intermediate step's exact positions. Nil in
-	// files written by lockstep services; ParseCheckpoint is lenient, so
-	// older readers ignore the field.
+	// still recover every executed step's exact outcome.
 	Ring []RingStep `json:"ring,omitempty"`
 }
 
 // RingStep is one persisted ack-ring entry: a LastStepState plus the
-// post-step positions that intermediate entries cannot recover from the
-// session snapshot.
+// step's post-step positions, which only the newest entry could recover
+// from the session snapshot.
 type RingStep struct {
 	LastStepState
 	Positions []Point `json:"positions"`
 }
 
-// LastStepState is the serialized outcome of the last executed step. Move
-// and serve costs are kept separately so the restored value continues from
-// identical float64 bits; positions are not persisted — the session
-// snapshot already carries them.
+// LastStepState is the serialized outcome of one executed step. Move and
+// serve costs are kept separately so the restored value continues from
+// identical float64 bits.
 type LastStepState struct {
 	T         int     `json:"t"`
 	Batched   int     `json:"batched"`
@@ -91,43 +70,41 @@ type MoveState struct {
 	CapHits   int     `json:"cap_hits"`
 }
 
-// ParseCheckpoint decodes a checkpoint file body. It accepts all three
-// generations of the format, normalizing each into a v-stamped Checkpoint:
-//
-//   - the current envelope ({"v":1,"session":...});
-//   - the legacy wrapper ({"version":1,"session":...}), whose observer
-//     fields carry over unchanged;
-//   - a bare session snapshot (no "session" key at all — the
-//     pre-wrapper file format, and what GET /snapshot returns), whose
-//     observer fields come back nil so a resume starts them fresh.
-//
-// Unknown versions are rejected in either stamp: refusing to guess beats
-// resuming a session from a document we might misread.
+// ParseCheckpoint decodes a checkpoint file body: either the envelope the
+// serving layer writes ({"v":1,"session":...}, decoded strictly) or a bare
+// session snapshot, as GET /snapshot serves it, whose observer fields and
+// ring come back nil so a resume starts them fresh. An unknown "v" is
+// refused, and so is an envelope without one (the pre-envelope "version"
+// wrapper): refusing to guess beats resuming a session from a document we
+// might misread.
 func ParseCheckpoint(data []byte) (Checkpoint, error) {
-	var ck Checkpoint
-	//moblint:rawdecode legacy-checkpoint compatibility: three envelope generations share this parse, version-gated below
-	if err := json.Unmarshal(data, &ck); err != nil {
+	var probe struct {
+		V       int             `json:"v"`
+		Session json.RawMessage `json:"session"`
+	}
+	//moblint:rawdecode a bare snapshot and an envelope differ only in their keys, so this lenient probe tells them apart; an envelope is then decoded strictly
+	if err := json.Unmarshal(data, &probe); err != nil {
 		return Checkpoint{}, fmt.Errorf("wire: bad checkpoint: %w", err)
 	}
 	// A carried "v" stamp is validated before anything else — even before
 	// the bare-snapshot fallback, so a future-major document whose layout
 	// we cannot know (it may not have a "session" key at all) is refused
 	// instead of misread as a bare engine snapshot.
-	if ck.V != 0 {
-		if err := CheckVersion(ck.V); err != nil {
+	if probe.V != 0 {
+		if err := CheckVersion(probe.V); err != nil {
 			return Checkpoint{}, fmt.Errorf("wire: bad checkpoint: %w", err)
 		}
 	}
-	if len(ck.Session) == 0 {
+	if len(probe.Session) == 0 {
 		// No "session" key: a bare engine/router snapshot.
-		return Checkpoint{V: V1, Version: CheckpointVersion, Session: data}, nil
+		return Checkpoint{V: V1, Session: data}, nil
 	}
-	if ck.V == 0 {
-		// Legacy wrapper: only the "version" stamp.
-		if ck.Version != CheckpointVersion {
-			return Checkpoint{}, fmt.Errorf("wire: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
-		}
-		ck.V = V1
+	if probe.V == 0 {
+		return Checkpoint{}, fmt.Errorf("wire: bad checkpoint: envelope has no \"v\" stamp")
+	}
+	var ck Checkpoint
+	if err := UnmarshalStrict(data, &ck); err != nil {
+		return Checkpoint{}, fmt.Errorf("wire: bad checkpoint: %w", err)
 	}
 	return ck, nil
 }

@@ -37,10 +37,13 @@ func binFrame(tag byte, payload []byte) []byte {
 }
 
 // fuzzSeeds maps each fuzz target to its committed seed corpus. Every
-// frame type of the grammar appears in both encodings, plus the legacy
-// and bare checkpoint envelopes, the retired throttle frame (whose type
-// and tag 0x05 no decoder accepts any more), and a handful of malformed
-// shapes.
+// frame type of the grammar appears in each encoding that carries it (the
+// handshake is NDJSON only), plus the envelope and bare checkpoint
+// documents, a handful of malformed shapes, and inputs that no decoder
+// accepts any more but whose committed bytes stay: the retired throttle
+// frame (type "throttle", tag 0x05), the binary hello and welcome (tags
+// 0x01 and 0x02), the NDJSON welcome carrying the retired "last" field,
+// and the pre-envelope "version" checkpoint stamp.
 var fuzzSeeds = map[string][][]byte{
 	"FuzzUnmarshalStrict": {
 		[]byte(`{"v":1,"type":"hello","dim":2}`),
@@ -54,7 +57,7 @@ var fuzzSeeds = map[string][][]byte{
 	},
 	"FuzzNDJSONFrame": {
 		[]byte(`{"v":1,"type":"hello","dim":3,"wire":"binary"}`),
-		[]byte(`{"v":1,"type":"welcome","algorithm":"MtC","t":4,"dim":2,"wire":"binary","last":{"t":3,"batched":1,"cost":{"move":1,"serve":2,"total":3},"clamped":0,"positions":[[1,2]]}}`),
+		[]byte(`{"v":1,"type":"welcome","algorithm":"MtC","t":4,"dim":2,"wire":"binary","last":{"t":3,"batched":1,"cost":{"move":1,"serve":2,"total":3},"clamped":0,"positions":[[1,2]]}}`), // retired "last" field: refused
 		[]byte(`{"v":1,"type":"step","id":7,"requests":[[3,4],[5,6]]}`),
 		[]byte(`{"v":1,"type":"ack","id":7,"t":1,"accepted":2,"batched":2,"cost":{"move":0,"serve":1,"total":1},"positions":[[1,1]],"shards":[{"shard":0,"routed":2,"cost":{"move":0,"serve":1,"total":1}}]}`),
 		[]byte(`{"v":1,"type":"throttle","id":9,"retry_after_ms":50}`), // retired type: no decoder
@@ -71,7 +74,7 @@ var fuzzSeeds = map[string][][]byte{
 	"FuzzBinaryFrame": nil, // built in init: needs the Append helpers
 	"FuzzParseCheckpoint": {
 		[]byte(`{"v":1,"session":{"t":3,"positions":[[1,2]],"metrics":{"steps":3}}}`),
-		[]byte(`{"version":1,"t":3,"positions":[[1,2]]}`),
+		[]byte(`{"version":1,"t":3,"positions":[[1,2]]}`), // pre-envelope stamp, no session: read as a bare snapshot
 		[]byte(`{"t":3,"positions":[[1,2]],"moves":[{"t":1,"dist":0.5}]}`),
 		[]byte(`{"v":99,"session":{}}`),
 		[]byte(`{"v":1,"session":{"unknown":1}}`),
@@ -82,20 +85,15 @@ var fuzzSeeds = map[string][][]byte{
 }
 
 func init() {
-	hello := &HelloFrame{V: V1, Type: FrameHello, Dim: 2, Wire: WireBinary, Window: 8}
-	last := &LastStep{T: 3, Batched: 1, Cost: Cost{Move: 1, Serve: 2, Total: 3}, Positions: []Point{{1, 2}}}
-	ring := []LastStep{
-		{T: 2, Batched: 2, Cost: Cost{Move: 0.5, Serve: 1, Total: 1.5}, Positions: []Point{{0, 1}}},
-		*last,
-	}
-	welcome := &WelcomeFrame{V: V1, Type: FrameWelcome, Algorithm: "MtC", T: 4, Dim: 2, Wire: WireBinary, Last: last, Window: 8, Ring: ring}
 	ack := AppendAckFrom(nil, V1, 7, 1, 2, 2, Cost{Serve: 1, Total: 1}, 0,
 		[]Point{{1, 1}}, []ShardStep{{Shard: 0, Routed: 2, Cost: Cost{Serve: 1, Total: 1}}})
 	errID := int64(4)
 	errf := &ErrorFrame{V: V1, Type: FrameError, ID: &errID, Err: Error{Code: CodeBadFrame, Detail: "x"}}
 	fuzzSeeds["FuzzBinaryFrame"] = [][]byte{
-		binFrame(BinHello, AppendHello(nil, hello)),
-		binFrame(BinWelcome, AppendWelcome(nil, welcome)),
+		// Unassigned tags 0x01 and 0x02: a binary hello and welcome, from
+		// before the handshake became NDJSON only.
+		[]byte("\x01\n\x01\x02\x06binary\b"),
+		[]byte("\x02\x98\x01\x01\x03MtC\x04\x02\x06binary\x01\x03\x01\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00\x00\x00\b@\x00\x01\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@\b\x02\x02\x02\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xf8?\x00\x01\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xf0?\x03\x01\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@\x00\x00\x00\x00\x00\x00\b@\x00\x01\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00@"),
 		binFrame(BinStep, AppendStepFrom(nil, V1, 7, []Point{{3, 4}, {5, 6}})),
 		binFrame(BinAck, ack),
 		{0x05, 3, 1, 18, 50}, // unassigned tag 0x05 (the retired throttle frame)
@@ -232,24 +230,6 @@ func FuzzBinaryFrame(f *testing.F) {
 				return
 			}
 			switch tag {
-			case BinHello:
-				var v HelloFrame
-				if DecodeHello(payload, &v) == nil {
-					rt := AppendHello(nil, &v)
-					var v2 HelloFrame
-					if err := DecodeHello(rt, &v2); err != nil || !reflect.DeepEqual(v, v2) {
-						t.Fatalf("hello round trip: %v, %+v vs %+v", err, v, v2)
-					}
-				}
-			case BinWelcome:
-				var v WelcomeFrame
-				if DecodeWelcome(payload, &v) == nil {
-					rt := AppendWelcome(nil, &v)
-					var v2 WelcomeFrame
-					if err := DecodeWelcome(rt, &v2); err != nil || !reflect.DeepEqual(v, v2) {
-						t.Fatalf("welcome round trip: %v, %+v vs %+v", err, v, v2)
-					}
-				}
 			case BinStep:
 				var v StepFrame
 				if DecodeStep(payload, &v) == nil {

@@ -160,13 +160,6 @@ type WelcomeFrame struct {
 	Algorithm string `json:"algorithm"`
 	T         int    `json:"t"`
 	Dim       int    `json:"dim"`
-	// Last carries the outcome of the last executed step (step T-1), when
-	// the session has executed any. A reconnecting pipeliner whose final
-	// ack was lost mid-flight recovers the executed step's exact outcome
-	// from here instead of resending the batch (which would double-feed).
-	// Absent at T == 0 and on sessions resumed from checkpoints that
-	// predate the field.
-	Last *LastStep `json:"last,omitempty"`
 	// Wire confirms the frame encoding of every frame after this welcome.
 	// Empty means NDJSON (the only encoding before the field existed). A
 	// server never confirms an encoding the hello did not ask for.
@@ -178,20 +171,22 @@ type WelcomeFrame struct {
 	Window int `json:"window,omitempty"`
 	// Ring carries the outcomes of the most recent executed steps, oldest
 	// first and ending with step T-1, each with its post-step positions —
-	// the suffix-replay recovery payload. A reconnecting pipeliner with
-	// several unacked frames recovers every frame below T from here
-	// (matching entries by step index) and resends the rest. Last always
-	// duplicates the newest entry, so pre-window consumers keep working.
+	// the recovery payload. It is as deep as the server's ack ring: one
+	// entry, unless the server grants pipelined windows. A reconnecting
+	// client whose acks were lost in flight recovers every frame below T
+	// from here (matching entries by step index) instead of resending it
+	// (which would double-feed), and resends the rest. Absent at T == 0
+	// and on sessions resumed from a bare snapshot.
 	Ring []LastStep `json:"ring,omitempty"`
 }
 
-// LastStep is the recovery payload inside a welcome frame: the outcome of
-// the session's most recent executed step, exactly as its (possibly lost)
-// ack reported it. Costs and positions are exact float64 round-trips, so a
-// consumer reconstructing the lost ack from this payload stays bit-equal
-// with one that received the ack directly.
+// LastStep is one recovery entry of a welcome's ring: the outcome of one
+// executed step, exactly as its (possibly lost) ack reported it. Costs and
+// positions are exact float64 round-trips, so a consumer reconstructing
+// the lost ack from this payload stays bit-equal with one that received
+// the ack directly.
 type LastStep struct {
-	// T is the executed step's index (the welcome's T minus one).
+	// T is the executed step's index.
 	T int `json:"t"`
 	// Batched is the number of requests the step served.
 	Batched int `json:"batched"`

@@ -113,29 +113,34 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseCheckpointVersions covers all three generations of the
-// checkpoint format plus major-version rejection in the new stamp.
+// TestParseCheckpointVersions covers the two documents a checkpoint may
+// be — the envelope and a bare snapshot — and the refusals: the
+// pre-envelope "version" wrapper, unknown envelope fields, and an unknown
+// major in the stamp.
 func TestParseCheckpointVersions(t *testing.T) {
 	session := json.RawMessage(`{"version":1,"steps":7}`)
 
 	// Current envelope: "v" stamped.
-	cur, _ := json.Marshal(Checkpoint{V: V1, Version: CheckpointVersion, Session: session})
+	cur, _ := json.Marshal(Checkpoint{V: V1, Session: session})
 	ck, err := ParseCheckpoint(cur)
 	if err != nil || ck.V != V1 || string(ck.Session) != string(session) {
 		t.Fatalf("current envelope = %+v, %v", ck, err)
 	}
 
-	// Legacy wrapper: only "version", exactly as PR-3 wrote it.
+	// Legacy wrapper: only "version", as the pre-envelope format wrote it.
 	legacy := []byte(`{"version":1,"session":{"version":1,"steps":7},"metrics":{"steps":7,"requests":14,"move_cost":1,"serve_cost":2,"avg_step_cost":0.5}}`)
-	ck, err = ParseCheckpoint(legacy)
-	if err != nil {
-		t.Fatalf("legacy wrapper rejected: %v", err)
+	if ck, err := ParseCheckpoint(legacy); err == nil {
+		t.Fatalf("legacy wrapper must be refused, got %+v", ck)
 	}
-	if ck.V != V1 {
-		t.Fatalf("legacy wrapper not normalized to v%d: %+v", V1, ck)
-	}
-	if ck.Metrics == nil || ck.Metrics.Requests != 14 {
-		t.Fatalf("legacy observer state lost: %+v", ck.Metrics)
+	// ...and so is an envelope that also carries the legacy stamp, or the
+	// retired last_step record: the envelope is decoded strictly.
+	for _, doc := range []string{
+		`{"v":1,"version":1,"session":{"version":1,"steps":7}}`,
+		`{"v":1,"session":{"version":1,"steps":7},"last_step":{"t":6,"batched":1,"move_cost":0,"serve_cost":1}}`,
+	} {
+		if ck, err := ParseCheckpoint([]byte(doc)); err == nil {
+			t.Fatalf("%s must be refused, got %+v", doc, ck)
+		}
 	}
 
 	// Bare snapshot: no "session" key.

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -58,9 +57,13 @@ type Cost struct {
 	Total float64 `json:"total"`
 }
 
-// FromCost converts an engine cost to its wire form.
-func FromCost(c core.Cost) Cost {
-	return Cost{Move: c.Move, Serve: c.Serve, Total: c.Total()}
+// FromCost converts an engine cost (core.Cost) to its wire form. It takes
+// any type shaped like core.Cost rather than core.Cost itself so that this
+// package does not import core, and core can decode its state blobs
+// through UnmarshalStrict.
+func FromCost[C ~struct{ Move, Serve float64 }](c C) Cost {
+	v := struct{ Move, Serve float64 }(c)
+	return Cost{Move: v.Move, Serve: v.Serve, Total: v.Move + v.Serve}
 }
 
 // StepResponse is the body of a successful POST /step. When batches from

@@ -9,7 +9,7 @@ import (
 func TestParseCheckpointWrapperAndLegacy(t *testing.T) {
 	session := json.RawMessage(`{"version":1,"steps":7}`)
 	wrapped, err := json.Marshal(Checkpoint{
-		Version: CheckpointVersion,
+		V:       V1,
 		Session: session,
 		Metrics: &MetricsState{Steps: 7, Requests: 21, MoveCost: 1.5, ServeCost: 2.5, AvgStepCost: 0.6},
 		Moves:   &MoveState{Steps: 7, MaxMove: 1.2, TotalMove: 8, CapHits: 3},
@@ -28,7 +28,7 @@ func TestParseCheckpointWrapperAndLegacy(t *testing.T) {
 		t.Fatalf("observer state lost: %+v", ck)
 	}
 
-	// A bare engine snapshot (no "session" key) is the legacy format: it
+	// A bare engine snapshot (no "session" key, what GET /snapshot serves)
 	// becomes the session, with no observer state.
 	legacy, err := ParseCheckpoint(session)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestParseCheckpointWrapperAndLegacy(t *testing.T) {
 	if _, err := ParseCheckpoint([]byte("not json")); err == nil {
 		t.Fatal("garbage must not parse")
 	}
-	bad, _ := json.Marshal(Checkpoint{Version: 99, Session: session})
+	bad, _ := json.Marshal(Checkpoint{V: 99, Session: session})
 	if _, err := ParseCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("wrong version = %v, want version error", err)
 	}

@@ -215,14 +215,14 @@ func (h Hotspot) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance 
 	in := &core.Instance{Config: cfg, Start: geom.Zero(cfg.Dim), Steps: make([]core.Step, T)}
 	center := geom.Zero(cfg.Dim)
 	heading := geom.Zero(cfg.Dim)
-	randUnit(r, heading)
+	r.UnitInto(heading)
 	for t := range in.Steps {
 		// Drift with occasional direction changes; reflect at the border,
 		// then clamp. The conversion keeps the product rounded on its
 		// own: Go may fuse a multiply-add into one FMA, but not across
 		// an explicit conversion.
 		if r.Bernoulli(0.05) {
-			randUnit(r, heading)
+			r.UnitInto(heading)
 		}
 		for i := range center {
 			center[i] += float64(speed * heading[i])
@@ -374,26 +374,6 @@ func (b Burst) Generate(r *xrand.Rand, cfg core.Config, T int) *core.Instance {
 		in.Steps[t].Requests = pts
 	}
 	return in
-}
-
-// randUnit sets v to a uniformly random unit vector (±1 in 1-D).
-func randUnit(r *xrand.Rand, v geom.Point) {
-	if len(v) == 1 {
-		v[0] = r.Sign()
-		return
-	}
-	for {
-		for i := range v {
-			v[i] = r.Norm()
-		}
-		if n := v.Norm(); n > 1e-9 {
-			s := 1 / n
-			for i := range v {
-				v[i] *= s
-			}
-			return
-		}
-	}
 }
 
 // Registry returns the standard named workloads used by the comparison

@@ -118,6 +118,32 @@ func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 // Shuffle randomizes the order of n elements using the provided swap.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
+// UnitInto overwrites v with a uniformly random unit vector of its
+// dimension, in place: ±1 in one dimension; otherwise one standard normal
+// per coordinate, scaled by the inverse Euclidean norm (summed in
+// coordinate order, as geom.Point.Norm does), redrawn while the norm is
+// at most 1e-9.
+func (r *Rand) UnitInto(v []float64) {
+	if len(v) == 1 {
+		v[0] = r.Sign()
+		return
+	}
+	for {
+		sq := 0.0
+		for i := range v {
+			v[i] = r.Norm()
+			sq += v[i] * v[i]
+		}
+		if n := math.Sqrt(sq); n > 1e-9 {
+			s := 1 / n
+			for i := range v {
+				v[i] *= s
+			}
+			return
+		}
+	}
+}
+
 // Sign returns +1.0 or -1.0 with equal probability.
 func (r *Rand) Sign() float64 {
 	if r.Coin() {
